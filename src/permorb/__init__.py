@@ -52,7 +52,6 @@ from .errors import (
     TableTooLarge,
 )
 from .lattice import (
-    CosetSystem,
     GramLattice,
     Modulus,
     Vector,

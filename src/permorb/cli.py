@@ -170,37 +170,36 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    # each row of table.products() already lists its results in label order
     lat = load_gram(args.gram)
     table = fusion_table(lat, max_l=args.max_l)
-    labels = table.labels
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["a", "b", "c", "multiplicity"])
         for a, b, prod in table.products():
-            for c in _sorted_labels(lat, prod):
-                writer.writerow([format_label(a), format_label(b), format_label(c), prod[c]])
+            for c, mult in prod.items():
+                writer.writerow([format_label(a), format_label(b), format_label(c), mult])
         sys.stdout.write(buf.getvalue())
-        return 0
-    doc = {
-        "labels": [format_label(m) for m in labels],
-        "products": [
-            {
-                "a": format_label(a),
-                "b": format_label(b),
-                "result": [
-                    {"label": format_label(c), "multiplicity": prod[c]}
-                    for c in _sorted_labels(lat, prod)
-                ],
-            }
-            for a, b, prod in table.products()
-        ],
-    }
-    if args.json:
+    elif args.json:
+        doc = {
+            "labels": [format_label(m) for m in table.labels],
+            "products": [
+                {
+                    "a": format_label(a),
+                    "b": format_label(b),
+                    "result": [
+                        {"label": format_label(c), "multiplicity": mult}
+                        for c, mult in prod.items()
+                    ],
+                }
+                for a, b, prod in table.products()
+            ],
+        }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for a, b, prod in table.products():
-            rhs = " + ".join(format_label(c) for c in _sorted_labels(lat, prod))
+            rhs = " + ".join(format_label(c) for c in prod)
             print(f"{format_label(a)} x {format_label(b)} = {rhs}")
     return 0
 

@@ -5,17 +5,18 @@ Everything is carried out in coordinates with respect to the fixed basis
 vectors, dual-lattice elements are rational vectors, and all membership
 tests reduce to integrality tests.  No floating point is used anywhere.
 
-The discriminant group ``L*/L`` and the related quotients ``L/2L``,
-``L*/2L`` and ``L*/2L*`` are handled through the Smith normal form of the
-Gram matrix: with ``U G V = D`` and ``D = diag(d_1, ..., d_d)``, the columns
-of ``V`` scaled by ``1/d_j`` generate ``L*`` over ``L``, so a vector is
-canonicalized by moving to Smith coordinates ``y = V^-1 x``, reducing each
-component into a fundamental box, and mapping back.
+The discriminant group ``L*/L`` and the related quotients ``L/2L`` and
+``L*/2L`` are handled through the Smith normal form of the Gram matrix: with
+``U G V = D`` and ``D = diag(d_1, ..., d_d)``, the columns of ``V`` scaled by
+``1/d_j`` generate ``L*`` over ``L``, so a vector is canonicalized by moving
+to Smith coordinates ``y = V^-1 x``, reducing each component into a
+fundamental box, and mapping back.  Every quotient is a plain tuple of such
+canonical representatives, enumerated box by box in lexicographic Smith
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +38,6 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 __all__ = [
     "Vector",
     "GramLattice",
-    "CosetSystem",
     "Modulus",
     "smith_normal_form",
     "validate_lattice",
@@ -52,9 +52,7 @@ __all__ = [
     "vec_sub",
     "vec_neg",
     "vec_scale",
-    "zero_vector",
     "format_vector",
-    "parse_vector",
 ]
 
 
@@ -65,10 +63,6 @@ __all__ = [
 def vector(coords: Iterable) -> Vector:
     """Coerce an iterable of rationals/ints into an exact coordinate vector."""
     return tuple(Fraction(c) for c in coords)
-
-
-def zero_vector(dim: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(dim))
 
 
 def vec_add(x: Vector, y: Vector) -> Vector:
@@ -90,10 +84,6 @@ def vec_scale(c, x: Vector) -> Vector:
 
 def format_vector(x: Vector) -> str:
     return ",".join(str(c) for c in x)
-
-
-def parse_vector(parts: Sequence[str]) -> Vector:
-    return tuple(Fraction(p.strip()) for p in parts)
 
 
 def _identity(n: int) -> List[List[int]]:
@@ -246,30 +236,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMa
     )
 
 
-def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = []
-    for row in inv:
-        assert all(x.denominator == 1 for x in row)
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -280,32 +246,13 @@ class Modulus(Enum):
     DUAL_MOD_LATTICE = "L*/L"
     LATTICE_MOD_2LATTICE = "L/2L"
     DUAL_MOD_2LATTICE = "L*/2L"
-    DUAL_MOD_2DUAL = "L*/2L*"
-    TWO_TORSION = "2-torsion of L*/L"
-
-
-@dataclass(frozen=True)
-class CosetSystem:
-    """An ordered complete system of canonical coset representatives."""
-
-    modulus: Modulus
-    reps: Tuple[Vector, ...]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def __iter__(self):
-        return iter(self.reps)
-
-    def __getitem__(self, i) -> Vector:
-        return self.reps[i]
 
 
 class GramLattice:
     """A positive-definite even lattice given by its integer Gram matrix.
 
-    Immutable after construction; coset systems and Smith data are computed
-    once and shared, so instances are safe for concurrent read access.
+    Immutable after construction; coset representatives and Smith data are
+    computed once and shared, so instances are safe for concurrent read access.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]]):
@@ -337,7 +284,12 @@ class GramLattice:
             det *= e
         self.det: int = det
         self._v = v
-        self._v_inv = _unimodular_inverse(v)
+        # U G V = D, so V^-1 = D^-1 U G, with every division exact
+        ug = _mat_mul(u, gram)
+        assert all(x % e == 0 for row, e in zip(ug, self.elementary_divisors) for x in row)
+        self._v_inv: IntMatrix = tuple(
+            tuple(x // e for x in row) for row, e in zip(ug, self.elementary_divisors)
+        )
         # memoized coordinate work; keys are immutable vectors, so sharing
         # these dicts across reader threads is safe
         self._smith_cache: dict = {}
@@ -388,36 +340,34 @@ class GramLattice:
     def in_two_lattice(self, x: Vector) -> bool:
         return len(x) == self.dim and all((c / 2).denominator == 1 for c in x)
 
-    # -- cached coset systems -------------------------------------------------
+    # -- quotients, as canonical representatives in lexicographic Smith order
 
     @cached_property
-    def dual_mod_lattice(self) -> CosetSystem:
-        return coset_reps_dual_mod_L(self)
-
-    @cached_property
-    def lattice_mod_two(self) -> CosetSystem:
-        return coset_reps_L_mod_2L(self)
-
-    @cached_property
-    def torsion(self) -> CosetSystem:
-        return two_torsion(self)
-
-    @cached_property
-    def dual_mod_two_lattice(self) -> CosetSystem:
+    def dual_mod_lattice(self) -> Tuple[Vector, ...]:
         divs = self.elementary_divisors
-        reps = []
-        for ks in product(*(range(2 * dj) for dj in divs)):
-            y = tuple(Fraction(k, dj) for k, dj in zip(ks, divs))
-            reps.append(self.from_smith_coords(y))
-        return CosetSystem(Modulus.DUAL_MOD_2LATTICE, tuple(reps))
+        return _smith_box(self, [[Fraction(k, d) for k in range(d)] for d in divs])
 
     @cached_property
-    def _dual_index(self):
-        return {self.smith_coords(r): i for i, r in enumerate(self.dual_mod_lattice.reps)}
+    def lattice_mod_two(self) -> Tuple[Vector, ...]:
+        return _smith_box(self, [[Fraction(0), Fraction(1)]] * self.dim)
 
-    def dual_rep_index(self, x: Vector) -> int:
-        """Position of ``x``'s class in the ``L*/L`` representative list."""
-        return self._dual_index[self.smith_coords(canonicalize(self, x, Modulus.DUAL_MOD_LATTICE))]
+    @cached_property
+    def torsion(self) -> Tuple[Vector, ...]:
+        divs = self.elementary_divisors
+        # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
+        halves = [[Fraction(0)] if d % 2 else [Fraction(0), Fraction(1, 2)] for d in divs]
+        return _smith_box(self, halves)
+
+    @cached_property
+    def dual_mod_two_lattice(self) -> Tuple[Vector, ...]:
+        divs = self.elementary_divisors
+        return _smith_box(self, [[Fraction(k, d) for k in range(2 * d)] for d in divs])
+
+
+def _smith_box(lat: GramLattice, values: Sequence[Sequence[Fraction]]) -> Tuple[Vector, ...]:
+    """``from_smith_coords(y)`` for every ``y`` in the lexicographic product of
+    the per-coordinate ``values``, which are given in increasing order."""
+    return tuple(lat.from_smith_coords(y) for y in product(*values))
 
 
 def validate_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:
@@ -433,18 +383,6 @@ def inner(lat: GramLattice, x: Vector, y: Vector) -> Fraction:
     return sum((a * b for a, b in zip(x, gx)), Fraction(0))
 
 
-# The fundamental box sizes, in Smith coordinates, for each quotient: a class
-# of the quotient corresponds to y_j taken modulo the listed modulus.
-def _smith_moduli(lat: GramLattice, modulus: Modulus) -> Tuple[Fraction, ...]:
-    if modulus is Modulus.DUAL_MOD_LATTICE:
-        return tuple(Fraction(1) for _ in range(lat.dim))
-    if modulus is Modulus.LATTICE_MOD_2LATTICE or modulus is Modulus.DUAL_MOD_2LATTICE:
-        return tuple(Fraction(2) for _ in range(lat.dim))
-    if modulus is Modulus.DUAL_MOD_2DUAL:
-        return tuple(Fraction(2, dj) for dj in lat.elementary_divisors)
-    raise ValueError(f"cannot canonicalize modulo {modulus}")
-
-
 def _check_ambient(lat: GramLattice, x: Vector, modulus: Modulus) -> None:
     if modulus is Modulus.LATTICE_MOD_2LATTICE:
         ok = lat.in_lattice(x)
@@ -457,85 +395,59 @@ def _check_ambient(lat: GramLattice, x: Vector, modulus: Modulus) -> None:
 def canonicalize(lat: GramLattice, x: Vector, modulus: Modulus) -> Vector:
     """The unique stored representative of ``x``'s coset.
 
-    Reduces each Smith coordinate into ``[0, m_j)`` for the box size of the
-    quotient; idempotent by construction.
+    Reduces each Smith coordinate into ``[0, 1)`` for ``L*/L`` and into
+    ``[0, 2)`` for ``L/2L`` and ``L*/2L``; idempotent by construction.
     """
     cached = lat._canon_cache.get((modulus, x))
     if cached is not None:
         return cached
     _check_ambient(lat, x, modulus)
     y = lat.smith_coords(x)
-    mods = _smith_moduli(lat, modulus)
-    y_red = tuple(c % m for c, m in zip(y, mods))
-    out = lat.from_smith_coords(y_red)
+    m = 1 if modulus is Modulus.DUAL_MOD_LATTICE else 2
+    out = lat.from_smith_coords(tuple(c % m for c in y))
     lat._canon_cache[(modulus, x)] = out
     return out
 
 
-def coset_reps_dual_mod_L(lat: GramLattice) -> CosetSystem:
+def coset_reps_dual_mod_L(lat: GramLattice) -> Tuple[Vector, ...]:
     """Canonical representatives of the discriminant group ``L*/L``.
 
     Ordered lexicographically in Smith coordinates; this ordering is the
     global total order used for all downstream tie-breaking.
     """
-    divs = lat.elementary_divisors
-    reps = []
-    for ks in product(*(range(dj) for dj in divs)):
-        y = tuple(Fraction(k, dj) for k, dj in zip(ks, divs))
-        reps.append(lat.from_smith_coords(y))
-    return CosetSystem(Modulus.DUAL_MOD_LATTICE, tuple(reps))
+    return lat.dual_mod_lattice
 
 
-def coset_reps_L_mod_2L(lat: GramLattice) -> CosetSystem:
+def coset_reps_L_mod_2L(lat: GramLattice) -> Tuple[Vector, ...]:
     """Canonical representatives of ``L/2L`` (size ``2^d``), zero first."""
-    reps = []
-    for ks in product(range(2), repeat=lat.dim):
-        y = tuple(Fraction(k) for k in ks)
-        reps.append(lat.from_smith_coords(y))
-    return CosetSystem(Modulus.LATTICE_MOD_2LATTICE, tuple(reps))
+    return lat.lattice_mod_two
 
 
-def two_torsion(lat: GramLattice) -> CosetSystem:
+def two_torsion(lat: GramLattice) -> Tuple[Vector, ...]:
     """The 2-torsion subgroup of ``L*/L``, as a subset of its representatives."""
-    divs = lat.elementary_divisors
-    choices = []
-    for dj in divs:
-        ks = [0] if dj % 2 else [0, dj // 2]
-        choices.append(ks)
-    reps = []
-    for ks in product(*choices):
-        y = tuple(Fraction(k, dj) for k, dj in zip(ks, divs))
-        reps.append(lat.from_smith_coords(y))
-    reps.sort(key=lat.smith_coords)
-    return CosetSystem(Modulus.TWO_TORSION, tuple(reps))
+    return lat.torsion
 
 
-def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, Tuple[Vector, ...]]]:
+def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, ...]]:
     """Solve ``2x = c (mod L)`` for ``x`` in the dual lattice.
 
-    Returns ``(x0, solutions)`` where ``solutions`` lists every solution
-    class as a canonical ``L*/L`` representative (one per 2-torsion element),
-    or ``None`` when no solution exists.  Absence of a solution is a valid
-    outcome, not an error.
+    Returns every solution class as a canonical ``L*/L`` representative (one
+    per 2-torsion element), or ``None`` when no solution exists.  Absence of
+    a solution is a valid outcome, not an error.
     """
-    _check_ambient(lat, c, Modulus.DUAL_MOD_LATTICE)
     y = lat.smith_coords(canonicalize(lat, c, Modulus.DUAL_MOD_LATTICE))
     divs = lat.elementary_divisors
     ks = []
     for yj, dj in zip(y, divs):
         kc = yj * dj
         assert kc.denominator == 1
-        kc = int(kc) % dj
+        kc = int(kc)
         if dj % 2:
             # 2 is invertible mod odd d_j
-            kj = (kc * pow(2, -1, dj)) % dj
+            ks.append((kc * pow(2, -1, dj)) % dj)
+        elif kc % 2:
+            return None
         else:
-            if kc % 2:
-                return None
-            kj = kc // 2
-        ks.append(kj)
+            ks.append(kc // 2)
     x0 = lat.from_smith_coords(tuple(Fraction(k, dj) for k, dj in zip(ks, divs)))
-    sols = tuple(
-        canonicalize(lat, vec_add(x0, g), Modulus.DUAL_MOD_LATTICE) for g in lat.torsion
-    )
-    return x0, sols
+    return tuple(canonicalize(lat, vec_add(x0, g), Modulus.DUAL_MOD_LATTICE) for g in lat.torsion)

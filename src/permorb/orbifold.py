@@ -140,7 +140,7 @@ def label_sort_key(lat: GramLattice, m: OrbifoldLabel):
 
 def enumerate_modules(lat: GramLattice) -> List[OrbifoldLabel]:
     """The complete duplicate-free list of irreducible labels, in order."""
-    reps = lat.dual_mod_lattice.reps
+    reps = lat.dual_mod_lattice
     out: List[OrbifoldLabel] = []
     for lam in reps:
         for eps in (0, 1):
@@ -281,14 +281,11 @@ def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[
     else:
         assert isinstance(a, Twisted) and isinstance(b, Twisted)
         s = vec_add(a.lam, b.lam)
-        halved = halve_mod_L(lat, s)
-        solutions: Tuple[Vector, ...] = ()
-        if halved is not None:
-            _, solutions = halved
-            for w in solutions:
-                shift = vec_sub(s, vec_scale(2, w))
-                flip = 1 if weight_parity_sign(lat, a.lam, shift) < 0 else 0
-                add(Diag(w, (a.eps + b.eps + flip) % 2))
+        solutions = halve_mod_L(lat, s) or ()
+        for w in solutions:
+            shift = vec_sub(s, vec_scale(2, w))
+            flip = 1 if weight_parity_sign(lat, a.lam, shift) < 0 else 0
+            add(Diag(w, (a.eps + b.eps + flip) % 2))
         taken = set(solutions)
         seen = set()
         for delta in lat.dual_mod_lattice:

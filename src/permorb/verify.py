@@ -13,7 +13,7 @@ corrupted tensors can be fed in as negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -57,28 +57,6 @@ class Report:
         return all(r.passed for r in self.results)
 
 
-def _qdim_pairs(lat: GramLattice, labels) -> Tuple[np.ndarray, np.ndarray]:
-    """Rational and sqrt(l) parts of every qdim, as integer vectors."""
-    qx = np.zeros(len(labels), dtype=np.int64)
-    qy = np.zeros(len(labels), dtype=np.int64)
-    for i, m in enumerate(labels):
-        if isinstance(m, Diag):
-            qx[i] = 1
-        elif isinstance(m, NonDiag):
-            qx[i] = 2
-        else:
-            qy[i] = 1
-    return qx, qy
-
-
-def _fold(lat: GramLattice, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # fold b*sqrt(l) into the rational part when l is a perfect square
-    r = int(np.sqrt(lat.det))
-    if r * r == lat.det:
-        return x + r * y, np.zeros_like(y)
-    return x, y
-
-
 def check_module_count(lat: GramLattice) -> CheckResult:
     labels = enumerate_modules(lat)
     l = lat.det
@@ -104,7 +82,7 @@ def check_module_count(lat: GramLattice) -> CheckResult:
 
 def check_identity(table: FusionTable) -> CheckResult:
     lat = table.lattice
-    unit = table.index[Diag(canonicalize(lat, lat.dual_mod_lattice[0], Modulus.DUAL_MOD_LATTICE), 0)]
+    unit = table.index[Diag(lat.dual_mod_lattice[0], 0)]
     n = len(table.labels)
     slice_ = table.tensor[unit]
     ok = np.array_equal(slice_, np.eye(n, dtype=table.tensor.dtype))
@@ -152,16 +130,18 @@ def check_associativity(table: FusionTable) -> CheckResult:
 
 def check_qdim_homomorphism(table: FusionTable) -> CheckResult:
     lat = table.lattice
-    qx, qy = _qdim_pairs(lat, table.labels)
+    # qdims as integer (rational, sqrt(l)) parts; QSqrt already folds sqrt(l)
+    # into the rational part when l is a perfect square
+    qdims = [qdim_orbifold(lat, m) for m in table.labels]
+    qx = np.array([int(q.a) for q in qdims], dtype=np.int64)
+    qy = np.array([int(q.b) for q in qdims], dtype=np.int64)
     t = table.tensor.astype(np.int64)
     # sums of products of qdims, kept as pairs (rational, sqrt(l)) parts
     sum_x = t @ qx
     sum_y = t @ qy
     lhs_x = np.outer(qx, qx) + lat.det * np.outer(qy, qy)
     lhs_y = np.outer(qx, qy) + np.outer(qy, qx)
-    ax, ay = _fold(lat, lhs_x, lhs_y)
-    bx, by = _fold(lat, sum_x, sum_y)
-    bad = np.argwhere((ax != bx) | (ay != by))
+    bad = np.argwhere((lhs_x != sum_x) | (lhs_y != sum_y))
     if len(bad) == 0:
         return CheckResult("qdim_homomorphism", True)
     i, j = bad[0]
@@ -184,7 +164,7 @@ def check_qdim_lower_bound(lat: GramLattice) -> CheckResult:
 def check_duality_pairing(table: FusionTable) -> CheckResult:
     lat = table.lattice
     labels = table.labels
-    unit = table.index[Diag(canonicalize(lat, lat.dual_mod_lattice[0], Modulus.DUAL_MOD_LATTICE), 0)]
+    unit = table.index[Diag(lat.dual_mod_lattice[0], 0)]
     col = table.tensor[:, :, unit]
     expected = np.zeros_like(col)
     for i, m in enumerate(labels):

@@ -164,6 +164,7 @@ class TestCosets:
         lat = get_lattice(name)
         assert len(lat.dual_mod_lattice) == lat.det
         assert len(lat.lattice_mod_two) == 2**lat.dim
+        assert len(lat.dual_mod_two_lattice) == lat.det * 2**lat.dim
         torsion_keys = {lat.smith_coords(g) for g in lat.torsion}
         dual_keys = {lat.smith_coords(r) for r in lat.dual_mod_lattice}
         assert torsion_keys <= dual_keys
@@ -171,10 +172,18 @@ class TestCosets:
     @pytest.mark.parametrize("name", GRAMS)
     def test_reps_distinct_and_canonical(self, name):
         lat = get_lattice(name)
-        reps = list(lat.dual_mod_lattice)
-        assert len(set(reps)) == len(reps)
-        for r in reps[: min(len(reps), 16)]:
-            assert canonicalize(lat, r, Modulus.DUAL_MOD_LATTICE) == r
+        quotients = [
+            (lat.dual_mod_lattice, Modulus.DUAL_MOD_LATTICE),
+            (lat.torsion, Modulus.DUAL_MOD_LATTICE),
+            (lat.lattice_mod_two, Modulus.LATTICE_MOD_2LATTICE),
+            (lat.dual_mod_two_lattice, Modulus.DUAL_MOD_2LATTICE),
+        ]
+        for reps, modulus in quotients:
+            assert len(set(reps)) == len(reps)
+            keys = [lat.smith_coords(r) for r in reps]
+            assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+            for r in reps[:16]:
+                assert canonicalize(lat, r, modulus) == r
 
 
 class TestCanonicalize:
@@ -211,14 +220,14 @@ class TestCanonicalize:
 
 class TestHalving:
     def test_zero(self, a1):
-        x0, sols = halve_mod_L(a1, vector([0]))
+        sols = halve_mod_L(a1, vector([0]))
         assert set(sols) == {vector([0]), vector([F(1, 2)])}
 
     def test_half_unsolvable(self, a1):
         assert halve_mod_L(a1, vector([F(1, 2)])) is None
 
     def test_generator(self, a1):
-        x0, sols = halve_mod_L(a1, vector([1]))
+        sols = halve_mod_L(a1, vector([1]))
         assert set(sols) == {vector([0]), vector([F(1, 2)])}
 
     @pytest.mark.parametrize("name", ["a1", "a2", "scaled4", "odd7", "chain3", "d4"])
@@ -226,15 +235,13 @@ class TestHalving:
         lat = get_lattice(name)
         n = len(lat.torsion)
         for c in lat.dual_mod_lattice:
-            res = halve_mod_L(lat, c)
-            if res is None:
+            sols = halve_mod_L(lat, c)
+            if sols is None:
                 # confirm unsolvable by brute force over all classes
                 assert not any(
                     lat.in_lattice(vec_sub(vec_add(x, x), c)) for x in lat.dual_mod_lattice
                 )
                 continue
-            x0, sols = res
-            assert lat.in_lattice(vec_sub(vec_add(x0, x0), c))
             assert len(sols) == len(set(sols)) == n
             for x in sols:
                 assert lat.in_lattice(vec_sub(vec_add(x, x), c))
@@ -243,4 +250,4 @@ class TestHalving:
         lat = get_lattice("odd7")
         for c in lat.dual_mod_lattice:
             res = halve_mod_L(lat, c)
-            assert res is not None and len(res[1]) == 1
+            assert res is not None and len(res) == 1

@@ -68,9 +68,11 @@ class TestEnumeration:
         mods = enumerate_modules(lat)
         assert len(mods) == len(set(mods)) == (l * l + 7 * l) // 2
 
-    def test_sorted_by_global_order(self, a1):
-        mods = enumerate_modules(a1)
-        keys = [label_sort_key(a1, m) for m in mods]
+    @pytest.mark.parametrize("name", ["a1", "a2", "odd7", "chain3", "d4", "scaled12"])
+    def test_sorted_by_global_order(self, name):
+        # the CLI prints fusion-table rows in enumeration order, relying on this
+        lat = get_lattice(name)
+        keys = [label_sort_key(lat, m) for m in enumerate_modules(lat)]
         assert keys == sorted(keys)
 
 
@@ -290,11 +292,14 @@ class TestVerify:
         table.tensor[0, 1, 1] = 0
         assert not check_commutativity(table).passed
 
-    def test_doubled_multiplicity_caught(self, a1):
-        table = fusion_table(a1)
-        table.tensor[2, 3, :] *= 2
-        assert not check_multiplicities(table).passed
-        assert not check_qdim_homomorphism(table).passed
+    def test_doubled_multiplicity_caught(self):
+        # scaled4 has l = 4, a perfect square: the doubled row is D x T, whose
+        # qdim sqrt(4) = 2 is folded into the rational part
+        for name, i, j in (("a1", 2, 3), ("scaled4", 2, -1)):
+            table = fusion_table(get_lattice(name))
+            table.tensor[i, j, :] *= 2
+            assert not check_multiplicities(table).passed
+            assert not check_qdim_homomorphism(table).passed
 
     def test_broken_duality_caught(self, a1):
         table = fusion_table(a1)
