@@ -22,7 +22,6 @@ from .base import (
     fusion_rule_vlplus,
     is_admissible_triple,
     nonsplit_label,
-    qdim_base,
     split_label,
     vl_label,
 )
@@ -56,12 +55,9 @@ from .lattice import (
     Modulus,
     Vector,
     canonicalize,
-    coset_reps_dual_mod_L,
-    coset_reps_L_mod_2L,
     halve_mod_L,
     inner,
     smith_normal_form,
-    two_torsion,
     validate_lattice,
     vector,
 )
@@ -82,6 +78,7 @@ from .orbifold import (
     is_simple_current,
     label_sort_key,
     nondiag,
+    qdims_by_kind,
     qdim_orbifold,
     twisted,
 )

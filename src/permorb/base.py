@@ -44,7 +44,6 @@ from .lattice import (
     vec_add,
     vec_neg,
 )
-from .qsqrt import QSqrt
 
 __all__ = [
     "VlLabel",
@@ -61,7 +60,6 @@ __all__ = [
     "fusion_rule_vlplus",
     "fuse_vlplus",
     "fuse_split_twisted",
-    "qdim_base",
     "all_vl_labels",
     "all_vlplus_labels",
 ]
@@ -101,28 +99,23 @@ VlPlusLabel = Union[NonSplit, Split, TwistedSplit]
 
 
 def vl_label(lat: GramLattice, x: Vector) -> VlLabel:
-    if not lat.in_dual(x):
-        raise NotInDual("lattice-algebra labels live in the dual lattice")
     return VlLabel(canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE))
 
 
 def nonsplit_label(lat: GramLattice, x: Vector) -> NonSplit:
     """Canonical non-split label: the smaller of x and -x mod 2L."""
-    if not lat.in_dual(x):
-        raise NotInDual("labels live in the dual lattice")
+    a = canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE)
     if lat.in_lattice(x):
         raise NotInLattice(f"({x}) lies in L, which labels a split module")
-    a = canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE)
     b = canonicalize(lat, vec_neg(x), Modulus.DUAL_MOD_2LATTICE)
     return NonSplit(min(a, b, key=lat.sort_key))
 
 
 def split_label(lat: GramLattice, x: Vector, sign: int) -> Split:
-    if not lat.in_lattice(x):
-        raise NotInLattice("split labels have lattice parts in L")
+    x = canonicalize(lat, x, Modulus.LATTICE_MOD_2LATTICE)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return Split(canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE), sign)
+    return Split(x, sign)
 
 
 def is_admissible_triple(lat: GramLattice, lam: Vector, mu: Vector, gam: Vector) -> bool:
@@ -251,15 +244,6 @@ def fuse_split_twisted(lat: GramLattice, s: Split, t: TwistedSplit) -> TwistedSp
     chi2 = chi_shift(lat, t.chi, s.coords)
     sign2 = t.sign * s.sign * chi_eval(lat, t.chi, s.coords)
     return TwistedSplit(chi2, sign2)
-
-
-def qdim_base(lat: GramLattice, m: VlPlusLabel) -> QSqrt:
-    """Quantum dimension of a fixed-point label: 1, 2 or sqrt(det)."""
-    if isinstance(m, Split):
-        return QSqrt.of(1, lat.det)
-    if isinstance(m, NonSplit):
-        return QSqrt.of(2, lat.det)
-    return QSqrt.sqrt_rad(lat.det)
 
 
 def all_vl_labels(lat: GramLattice) -> List[VlLabel]:

@@ -25,7 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import ParseError, PermorbError
@@ -39,7 +39,7 @@ from .orbifold import (
     fusion_table,
     label_sort_key,
     nondiag,
-    qdim_orbifold,
+    qdims_by_kind,
     twisted,
 )
 from .render import format_label, label_json, vl_json, vlplus_json
@@ -48,6 +48,8 @@ from .verify import verify
 __all__ = ["parse_label", "load_gram", "run", "main"]
 
 _LABEL_RE = re.compile(r"^\s*([DNT])\(([^()]*)\)\s*$")
+# Fraction() evaluates 10**exp exactly, so its cost grows with the exponent
+_EXPONENT_RE = re.compile(r"[\d.][eE][-+]?\d")
 
 
 def load_gram(path: str) -> GramLattice:
@@ -69,6 +71,8 @@ def _parse_coords(text: str, dim: int) -> Vector:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != dim:
         raise ParseError(f"expected {dim} coordinates, got {len(parts)} in '{text}'")
+    if _EXPONENT_RE.search(text):
+        raise ParseError(f"exponent notation is not accepted in '{text}'")
     try:
         return tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -101,40 +105,39 @@ def parse_label(lat: GramLattice, text: str) -> OrbifoldLabel:
     return diag(lat, x, eps) if kind == "D" else twisted(lat, x, eps)
 
 
-def _sorted_labels(lat: GramLattice, labels) -> List[OrbifoldLabel]:
-    return sorted(labels, key=lambda m: label_sort_key(lat, m))
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _emit(doc: dict, as_json: bool, text_lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _print_lines(lines: Iterable[str]) -> None:
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _cmd_modules(args) -> int:
     lat = load_gram(args.gram)
     mods = enumerate_modules(lat)
-    doc = {
-        "dim": lat.dim,
-        "det": lat.det,
-        "count": len(mods),
-        "modules": [label_json(m) | {"label": format_label(m)} for m in mods],
-    }
-    _emit(doc, args.json, [format_label(m) for m in mods])
+    if args.json:
+        _print_json(
+            {
+                "dim": lat.dim,
+                "det": lat.det,
+                "count": len(mods),
+                "modules": [label_json(m) | {"label": format_label(m)} for m in mods],
+            }
+        )
+    else:
+        _print_lines(map(format_label, mods))
     return 0
 
 
 def _cmd_qdims(args) -> int:
     lat = load_gram(args.gram)
-    mods = enumerate_modules(lat)
-    rows = [(format_label(m), str(qdim_orbifold(lat, m))) for m in mods]
-    doc = {
-        "det": lat.det,
-        "qdims": [{"label": lab, "qdim": q} for lab, q in rows],
-    }
-    _emit(doc, args.json, [f"{lab}  {q}" for lab, q in rows])
+    text = {kind: str(q) for kind, q in qdims_by_kind(lat).items()}
+    rows = [(format_label(m), text[type(m)]) for m in enumerate_modules(lat)]
+    if args.json:
+        _print_json({"det": lat.det, "qdims": [{"label": lab, "qdim": q} for lab, q in rows]})
+    else:
+        _print_lines(f"{lab}  {q}" for lab, q in rows)
     return 0
 
 
@@ -143,81 +146,74 @@ def _cmd_fuse(args) -> int:
     a = parse_label(lat, args.a)
     b = parse_label(lat, args.b)
     prod = fuse_orbifold(lat, a, b)
-    out = _sorted_labels(lat, prod)
-    doc = {
-        "a": format_label(a),
-        "b": format_label(b),
-        "result": [{"label": format_label(c), "multiplicity": prod[c]} for c in out],
-    }
-    _emit(doc, args.json, [format_label(c) for c in out])
+    out = [(format_label(c), prod[c]) for c in sorted(prod, key=lambda m: label_sort_key(lat, m))]
+    if args.json:
+        _print_json(
+            {
+                "a": format_label(a),
+                "b": format_label(b),
+                "result": [{"label": c, "multiplicity": mult} for c, mult in out],
+            }
+        )
+    else:
+        _print_lines(c for c, _mult in out)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     lat = load_gram(args.gram)
     m = parse_label(lat, args.label)
-    parts = decompose_module(lat, m)
-    doc = {
-        "label": format_label(m),
-        "summands": [{"vl": vl_json(v), "vlplus": vlplus_json(p)} for v, p in parts],
-    }
-    lines = [
-        json.dumps({"vl": vl_json(v), "vlplus": vlplus_json(p)}, sort_keys=True)
-        for v, p in parts
-    ]
-    _emit(doc, args.json, lines)
+    summands = [{"vl": vl_json(v), "vlplus": vlplus_json(p)} for v, p in decompose_module(lat, m)]
+    if args.json:
+        _print_json({"label": format_label(m), "summands": summands})
+    else:
+        _print_lines(json.dumps(doc, sort_keys=True) for doc in summands)
     return 0
 
 
+def _table_rows(table, names: Sequence[str]):
+    """``(a, b, [(c, mult), ...])`` for every ordered pair of labels, in label
+    order, with ``names[i]`` standing for ``table.labels[i]``."""
+    n = len(names)
+    for i in range(n):
+        for j in range(n):
+            row = table.tensor[i, j]
+            yield names[i], names[j], [(names[k], int(row[k])) for k in row.nonzero()[0]]
+
+
 def _cmd_table(args) -> int:
-    # each row of table.products() already lists its results in label order
     lat = load_gram(args.gram)
     table = fusion_table(lat, max_l=args.max_l)
+    names = [format_label(m) for m in table.labels]
+    rows = _table_rows(table, names)
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["a", "b", "c", "multiplicity"])
-        for a, b, prod in table.products():
-            for c, mult in prod.items():
-                writer.writerow([format_label(a), format_label(b), format_label(c), mult])
+        writer.writerows([a, b, c, mult] for a, b, prod in rows for c, mult in prod)
         sys.stdout.write(buf.getvalue())
     elif args.json:
-        doc = {
-            "labels": [format_label(m) for m in table.labels],
-            "products": [
-                {
-                    "a": format_label(a),
-                    "b": format_label(b),
-                    "result": [
-                        {"label": format_label(c), "multiplicity": mult}
-                        for c, mult in prod.items()
-                    ],
-                }
-                for a, b, prod in table.products()
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        products = [
+            {"a": a, "b": b, "result": [{"label": c, "multiplicity": mult} for c, mult in prod]}
+            for a, b, prod in rows
+        ]
+        _print_json({"labels": names, "products": products})
     else:
-        for a, b, prod in table.products():
-            rhs = " + ".join(format_label(c) for c in prod)
-            print(f"{format_label(a)} x {format_label(b)} = {rhs}")
+        _print_lines(f"{a} x {b} = {' + '.join(c for c, _mult in prod)}" for a, b, prod in rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
     lat = load_gram(args.gram)
     report = verify(lat, max_l=args.max_l)
-    doc = {
-        "all_passed": report.all_passed,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results
-        ],
-    }
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f": {r.detail}" if r.detail else "")
-        for r in report.results
-    ]
-    _emit(doc, args.json, lines)
+    if args.json:
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results]
+        _print_json({"all_passed": report.all_passed, "checks": checks})
+    else:
+        _print_lines(
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f": {r.detail}" if r.detail else "")
+            for r in report.results
+        )
     return 0 if report.all_passed else 1
 
 

@@ -25,16 +25,16 @@ class DimensionMismatch(PermorbError):
     """Vector or matrix dimensions are incompatible."""
 
 
-class NotInDual(PermorbError):
+class NotInAmbientGroup(PermorbError):
+    """Vector is outside the ambient group of the requested quotient."""
+
+
+class NotInDual(NotInAmbientGroup):
     """Vector does not lie in the dual lattice."""
 
 
-class NotInLattice(PermorbError):
+class NotInLattice(NotInAmbientGroup):
     """Vector does not lie in the lattice."""
-
-
-class NotInAmbientGroup(PermorbError):
-    """Vector is outside the ambient group of the requested quotient."""
 
 
 class NonIntegralPairing(PermorbError):

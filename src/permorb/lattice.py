@@ -27,7 +27,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import (
     DimensionMismatch,
     NotEven,
-    NotInAmbientGroup,
+    NotInDual,
+    NotInLattice,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -43,9 +44,6 @@ __all__ = [
     "validate_lattice",
     "inner",
     "canonicalize",
-    "coset_reps_dual_mod_L",
-    "coset_reps_L_mod_2L",
-    "two_torsion",
     "halve_mod_L",
     "vector",
     "vec_add",
@@ -277,7 +275,6 @@ class GramLattice:
         self.dim: int = d
         self.gram: IntMatrix = gram
         u, dd, v = smith_normal_form(gram)
-        self.snf: Tuple[IntMatrix, IntMatrix, IntMatrix] = (u, dd, v)
         self.elementary_divisors: Tuple[int, ...] = tuple(dd[i][i] for i in range(d))
         det = 1
         for e in self.elementary_divisors:
@@ -344,6 +341,7 @@ class GramLattice:
 
     @cached_property
     def dual_mod_lattice(self) -> Tuple[Vector, ...]:
+        """The discriminant group ``L*/L``, listed in the global sort order."""
         divs = self.elementary_divisors
         return _smith_box(self, [[Fraction(k, d) for k in range(d)] for d in divs])
 
@@ -353,6 +351,7 @@ class GramLattice:
 
     @cached_property
     def torsion(self) -> Tuple[Vector, ...]:
+        """The 2-torsion subgroup of ``L*/L``, as a subset of its representatives."""
         divs = self.elementary_divisors
         # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
         halves = [[Fraction(0)] if d % 2 else [Fraction(0), Fraction(1, 2)] for d in divs]
@@ -383,49 +382,27 @@ def inner(lat: GramLattice, x: Vector, y: Vector) -> Fraction:
     return sum((a * b for a, b in zip(x, gx)), Fraction(0))
 
 
-def _check_ambient(lat: GramLattice, x: Vector, modulus: Modulus) -> None:
-    if modulus is Modulus.LATTICE_MOD_2LATTICE:
-        ok = lat.in_lattice(x)
-    else:
-        ok = lat.in_dual(x)
-    if not ok:
-        raise NotInAmbientGroup(f"vector ({format_vector(x)}) not in ambient group of {modulus.value}")
-
-
 def canonicalize(lat: GramLattice, x: Vector, modulus: Modulus) -> Vector:
     """The unique stored representative of ``x``'s coset.
 
     Reduces each Smith coordinate into ``[0, 1)`` for ``L*/L`` and into
-    ``[0, 2)`` for ``L/2L`` and ``L*/2L``; idempotent by construction.
+    ``[0, 2)`` for ``L/2L`` and ``L*/2L``; idempotent by construction.  This
+    is where label constructors check membership: ``x`` outside ``L`` (for
+    ``L/2L``) raises ``NotInLattice``, outside ``L*`` ``NotInDual``.
     """
     cached = lat._canon_cache.get((modulus, x))
     if cached is not None:
         return cached
-    _check_ambient(lat, x, modulus)
+    if modulus is Modulus.LATTICE_MOD_2LATTICE:
+        if not lat.in_lattice(x):
+            raise NotInLattice(f"vector ({format_vector(x)}) is not in the lattice")
+    elif not lat.in_dual(x):
+        raise NotInDual(f"vector ({format_vector(x)}) is not in the dual lattice")
     y = lat.smith_coords(x)
     m = 1 if modulus is Modulus.DUAL_MOD_LATTICE else 2
     out = lat.from_smith_coords(tuple(c % m for c in y))
     lat._canon_cache[(modulus, x)] = out
     return out
-
-
-def coset_reps_dual_mod_L(lat: GramLattice) -> Tuple[Vector, ...]:
-    """Canonical representatives of the discriminant group ``L*/L``.
-
-    Ordered lexicographically in Smith coordinates; this ordering is the
-    global total order used for all downstream tie-breaking.
-    """
-    return lat.dual_mod_lattice
-
-
-def coset_reps_L_mod_2L(lat: GramLattice) -> Tuple[Vector, ...]:
-    """Canonical representatives of ``L/2L`` (size ``2^d``), zero first."""
-    return lat.lattice_mod_two
-
-
-def two_torsion(lat: GramLattice) -> Tuple[Vector, ...]:
-    """The 2-torsion subgroup of ``L*/L``, as a subset of its representatives."""
-    return lat.torsion
 
 
 def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, ...]]:

@@ -24,12 +24,15 @@ in rank 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .base import (
+    NonSplit,
+    Split,
     TwistedSplit,
     VlLabel,
     VlPlusLabel,
@@ -39,7 +42,7 @@ from .base import (
     vl_label,
 )
 from .characters import chi_of_lambda, split_gauge_sign, weight_parity_sign
-from .errors import DegeneratePair, NotInDual, TableTooLarge
+from .errors import DegeneratePair, TableTooLarge
 from .lattice import (
     GramLattice,
     Modulus,
@@ -64,6 +67,7 @@ __all__ = [
     "enumerate_modules",
     "decompose_module",
     "induce",
+    "qdims_by_kind",
     "qdim_orbifold",
     "glob",
     "dual_orbifold",
@@ -97,14 +101,10 @@ OrbifoldLabel = Union[Diag, NonDiag, Twisted]
 
 
 def diag(lat: GramLattice, x: Vector, eps: int) -> Diag:
-    if not lat.in_dual(x):
-        raise NotInDual("diagonal labels live in the dual lattice")
     return Diag(canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE), eps % 2)
 
 
 def nondiag(lat: GramLattice, x: Vector, y: Vector) -> NonDiag:
-    if not (lat.in_dual(x) and lat.in_dual(y)):
-        raise NotInDual("off-diagonal labels live in the dual lattice")
     a = canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE)
     b = canonicalize(lat, y, Modulus.DUAL_MOD_LATTICE)
     if a == b:
@@ -120,8 +120,6 @@ def twisted(lat: GramLattice, x: Vector, eps: int) -> Twisted:
     The parity flips when moving ``x`` to its canonical representative
     crosses a translation of odd weight parity; see the module docstring.
     """
-    if not lat.in_dual(x):
-        raise NotInDual("twisted labels live in the dual lattice")
     lam = canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE)
     beta = vec_sub(x, lam)
     if weight_parity_sign(lat, lam, beta) < 0:
@@ -210,20 +208,34 @@ def induce(lat: GramLattice, w: Tuple[VlLabel, VlPlusLabel]) -> Optional[Twisted
     return Twisted(lam, 0 if piece_t.sign > 0 else 1)
 
 
+# quantum dimension a + b*sqrt(l) of each label kind of both families, as (a, b)
+_QDIM = {
+    Diag: (1, 0),
+    Split: (1, 0),
+    NonDiag: (2, 0),
+    NonSplit: (2, 0),
+    Twisted: (0, 1),
+    TwistedSplit: (0, 1),
+}
+
+
+def qdims_by_kind(lat: GramLattice) -> Dict[type, QSqrt]:
+    """The quantum dimension shared by every label of each kind: 1 for
+    ``Diag`` and ``Split``, 2 for ``NonDiag`` and ``NonSplit``, and
+    ``sqrt(l)`` for ``Twisted`` and ``TwistedSplit``."""
+    return {kind: QSqrt(a, b, lat.det) for kind, (a, b) in _QDIM.items()}
+
+
 def qdim_orbifold(lat: GramLattice, m: OrbifoldLabel) -> QSqrt:
-    if isinstance(m, Diag):
-        return QSqrt.of(1, lat.det)
-    if isinstance(m, NonDiag):
-        return QSqrt.of(2, lat.det)
-    return QSqrt.sqrt_rad(lat.det)
+    return QSqrt(*_QDIM[type(m)], lat.det)
 
 
 def glob(lat: GramLattice) -> QSqrt:
     """Global dimension: the sum of squared quantum dimensions."""
+    q = qdims_by_kind(lat)
     total = QSqrt.of(0, lat.det)
-    for m in enumerate_modules(lat):
-        q = qdim_orbifold(lat, m)
-        total = total + q * q
+    for kind, count in Counter(type(m) for m in enumerate_modules(lat)).items():
+        total = total + count * q[kind] * q[kind]
     return total
 
 
@@ -286,17 +298,12 @@ def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[
             shift = vec_sub(s, vec_scale(2, w))
             flip = 1 if weight_parity_sign(lat, a.lam, shift) < 0 else 0
             add(Diag(w, (a.eps + b.eps + flip) % 2))
-        taken = set(solutions)
-        seen = set()
+        # every other delta pairs with s - delta; emit each pair once, from its
+        # smaller member (a solution pairs with itself and is skipped)
         for delta in lat.dual_mod_lattice:
-            if delta in taken:
-                continue
             other = canonicalize(lat, vec_sub(s, delta), Modulus.DUAL_MOD_LATTICE)
-            key = frozenset((delta, other))
-            if key in seen:
-                continue
-            seen.add(key)
-            add(nondiag(lat, other, delta))
+            if lat.sort_key(delta) < lat.sort_key(other):
+                add(NonDiag(delta, other))
     return out
 
 
@@ -311,18 +318,6 @@ class FusionTable:
 
     def multiplicity(self, a: OrbifoldLabel, b: OrbifoldLabel, c: OrbifoldLabel) -> int:
         return int(self.tensor[self.index[a], self.index[b], self.index[c]])
-
-    def products(self):
-        """Iterate (a, b, {c: mult}) over all ordered pairs."""
-        n = len(self.labels)
-        for i in range(n):
-            for j in range(n):
-                row = self.tensor[i, j]
-                yield (
-                    self.labels[i],
-                    self.labels[j],
-                    {self.labels[k]: int(row[k]) for k in np.nonzero(row)[0]},
-                )
 
 
 def fusion_table(lat: GramLattice, max_l: int = 64) -> FusionTable:

@@ -5,19 +5,20 @@ float64 matrix products: all entries are small non-negative integers, so
 every intermediate value is far below 2**53 and the floating comparison is
 exact integer arithmetic in disguise.
 
-Checks return a ``CheckResult`` with a witness string on failure; the
-functions take the fusion table as an argument so that deliberately
+Checks return a ``CheckResult`` with a witness string on failure; every
+check takes the fusion table as its argument so that deliberately
 corrupted tensors can be fed in as negative controls.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import TwistedSplit, qdim_base
+from .base import TwistedSplit
 from .lattice import GramLattice, Modulus, canonicalize, vec_add
 from .orbifold import (
     Diag,
@@ -32,7 +33,7 @@ from .orbifold import (
     glob,
     induce,
     nondiag,
-    qdim_orbifold,
+    qdims_by_kind,
 )
 from .qsqrt import QSqrt
 from .render import format_label
@@ -57,15 +58,35 @@ class Report:
         return all(r.passed for r in self.results)
 
 
-def check_module_count(lat: GramLattice) -> CheckResult:
-    labels = enumerate_modules(lat)
-    l = lat.det
+def _witness(
+    table: FusionTable,
+    name: str,
+    mask: np.ndarray,
+    detail: Callable[[Tuple[int, ...], Sequence[str]], str],
+) -> CheckResult:
+    """Pass when ``mask`` has no true entry; otherwise fail with
+    ``detail(idx, names)`` for the first true entry ``idx``, where ``names``
+    are the formatted labels at those indices."""
+    hits = np.argwhere(mask)
+    if len(hits) == 0:
+        return CheckResult(name, True)
+    idx = tuple(int(i) for i in hits[0])
+    return CheckResult(name, False, detail(idx, [format_label(table.labels[i]) for i in idx]))
+
+
+def _unit(table: FusionTable) -> int:
+    return table.index[Diag(table.lattice.dual_mod_lattice[0], 0)]
+
+
+def _dual_perm(table: FusionTable) -> np.ndarray:
+    return np.array([table.index[dual_orbifold(table.lattice, m)] for m in table.labels])
+
+
+def check_module_count(table: FusionTable) -> CheckResult:
+    labels = enumerate_modules(table.lattice)
+    l = table.lattice.det
     expected = (l * l + 7 * l) // 2
-    counts = {
-        Diag: sum(isinstance(m, Diag) for m in labels),
-        NonDiag: sum(isinstance(m, NonDiag) for m in labels),
-        Twisted: sum(isinstance(m, Twisted) for m in labels),
-    }
+    counts = Counter(type(m) for m in labels)
     ok = (
         len(labels) == expected
         and len(set(labels)) == expected
@@ -81,28 +102,18 @@ def check_module_count(lat: GramLattice) -> CheckResult:
 
 
 def check_identity(table: FusionTable) -> CheckResult:
-    lat = table.lattice
-    unit = table.index[Diag(lat.dual_mod_lattice[0], 0)]
-    n = len(table.labels)
-    slice_ = table.tensor[unit]
-    ok = np.array_equal(slice_, np.eye(n, dtype=table.tensor.dtype))
-    detail = ""
-    if not ok:
-        b, c = np.argwhere(slice_ != np.eye(n, dtype=table.tensor.dtype))[0]
-        detail = f"unit x {format_label(table.labels[b])} hit {format_label(table.labels[c])}"
-    return CheckResult("identity", ok, detail)
+    eye = np.eye(len(table.labels), dtype=table.tensor.dtype)
+    return _witness(
+        table, "identity", table.tensor[_unit(table)] != eye, lambda i, s: f"unit x {s[0]} hit {s[1]}"
+    )
 
 
 def check_commutativity(table: FusionTable) -> CheckResult:
-    diff = np.argwhere(table.tensor != table.tensor.swapaxes(0, 1))
-    if len(diff) == 0:
-        return CheckResult("commutativity", True)
-    a, b, c = diff[0]
-    return CheckResult(
+    return _witness(
+        table,
         "commutativity",
-        False,
-        f"{format_label(table.labels[a])} x {format_label(table.labels[b])}"
-        f" differs from the swapped product at {format_label(table.labels[c])}",
+        table.tensor != table.tensor.swapaxes(0, 1),
+        lambda i, s: f"{s[0]} x {s[1]} differs from the swapped product at {s[2]}",
     )
 
 
@@ -116,14 +127,13 @@ def check_associativity(table: FusionTable) -> CheckResult:
         rhs = t.reshape(n * n, n) @ t[a]
         rhs = rhs.reshape(n, n, n)
         if not np.array_equal(lhs, rhs):
-            b, c, d = np.argwhere(lhs != rhs)[0]
-            labels = table.labels
-            return CheckResult(
+            name_a = format_label(table.labels[a])
+            return _witness(
+                table,
                 "associativity",
-                False,
-                f"witness ({format_label(labels[a])}, {format_label(labels[b])},"
-                f" {format_label(labels[c])}) -> {format_label(labels[d])}:"
-                f" {int(lhs[b, c, d])} vs {int(rhs[b, c, d])}",
+                lhs != rhs,
+                lambda i, s: f"witness ({name_a}, {s[0]}, {s[1]}) -> {s[2]}:"
+                f" {int(lhs[i])} vs {int(rhs[i])}",
             )
     return CheckResult("associativity", True)
 
@@ -132,72 +142,52 @@ def check_qdim_homomorphism(table: FusionTable) -> CheckResult:
     lat = table.lattice
     # qdims as integer (rational, sqrt(l)) parts; QSqrt already folds sqrt(l)
     # into the rational part when l is a perfect square
-    qdims = [qdim_orbifold(lat, m) for m in table.labels]
-    qx = np.array([int(q.a) for q in qdims], dtype=np.int64)
-    qy = np.array([int(q.b) for q in qdims], dtype=np.int64)
+    parts = {kind: (int(q.a), int(q.b)) for kind, q in qdims_by_kind(lat).items()}
+    qx, qy = np.array([parts[type(m)] for m in table.labels], dtype=np.int64).T
     t = table.tensor.astype(np.int64)
     # sums of products of qdims, kept as pairs (rational, sqrt(l)) parts
     sum_x = t @ qx
     sum_y = t @ qy
     lhs_x = np.outer(qx, qx) + lat.det * np.outer(qy, qy)
     lhs_y = np.outer(qx, qy) + np.outer(qy, qx)
-    bad = np.argwhere((lhs_x != sum_x) | (lhs_y != sum_y))
-    if len(bad) == 0:
-        return CheckResult("qdim_homomorphism", True)
-    i, j = bad[0]
-    return CheckResult(
+    return _witness(
+        table,
         "qdim_homomorphism",
-        False,
-        f"{format_label(table.labels[i])} x {format_label(table.labels[j])}:"
-        f" product of qdims differs from qdim of the product",
+        (lhs_x != sum_x) | (lhs_y != sum_y),
+        lambda i, s: f"{s[0]} x {s[1]}: product of qdims differs from qdim of the product",
     )
 
 
-def check_qdim_lower_bound(lat: GramLattice) -> CheckResult:
-    one = QSqrt.of(1, lat.det)
-    for m in enumerate_modules(lat):
-        if not (qdim_orbifold(lat, m) >= one):
+def check_qdim_lower_bound(table: FusionTable) -> CheckResult:
+    one = QSqrt.of(1, table.lattice.det)
+    low = {kind for kind, q in qdims_by_kind(table.lattice).items() if not q >= one}
+    for m in table.labels:
+        if type(m) in low:
             return CheckResult("qdim_lower_bound", False, f"{format_label(m)} has qdim < 1")
     return CheckResult("qdim_lower_bound", True)
 
 
 def check_duality_pairing(table: FusionTable) -> CheckResult:
-    lat = table.lattice
-    labels = table.labels
-    unit = table.index[Diag(lat.dual_mod_lattice[0], 0)]
-    col = table.tensor[:, :, unit]
+    col = table.tensor[:, :, _unit(table)]
     expected = np.zeros_like(col)
-    for i, m in enumerate(labels):
-        expected[i, table.index[dual_orbifold(lat, m)]] = 1
-    diff = np.argwhere(col != expected)
-    if len(diff) == 0:
-        return CheckResult("duality_pairing", True)
-    i, j = diff[0]
-    return CheckResult(
-        "duality_pairing",
-        False,
-        f"N({format_label(labels[i])}, {format_label(labels[j])}; unit) = {int(col[i, j])}",
+    expected[np.arange(len(table.labels)), _dual_perm(table)] = 1
+    return _witness(
+        table, "duality_pairing", col != expected, lambda i, s: f"N({s[0]}, {s[1]}; unit) = {int(col[i])}"
     )
 
 
 def check_dual_antiautomorphism(table: FusionTable) -> CheckResult:
-    lat = table.lattice
-    labels = table.labels
-    perm = np.array([table.index[dual_orbifold(lat, m)] for m in labels])
-    dualized = table.tensor[np.ix_(perm, perm, perm)]
-    diff = np.argwhere(dualized != table.tensor)
-    if len(diff) == 0:
-        return CheckResult("dual_antiautomorphism", True)
-    a, b, c = diff[0]
-    return CheckResult(
+    perm = _dual_perm(table)
+    return _witness(
+        table,
         "dual_antiautomorphism",
-        False,
-        f"dual of product differs at ({format_label(labels[a])},"
-        f" {format_label(labels[b])}; {format_label(labels[c])})",
+        table.tensor[np.ix_(perm, perm, perm)] != table.tensor,
+        lambda i, s: f"dual of product differs at ({s[0]}, {s[1]}; {s[2]})",
     )
 
 
-def check_glob(lat: GramLattice) -> CheckResult:
+def check_glob(table: FusionTable) -> CheckResult:
+    lat = table.lattice
     expected = QSqrt.of(4 * lat.det * lat.det, lat.det)
     got = glob(lat)
     return CheckResult(
@@ -205,21 +195,22 @@ def check_glob(lat: GramLattice) -> CheckResult:
     )
 
 
-def check_decomposition_qdims(lat: GramLattice) -> CheckResult:
-    scale = QSqrt.of(2**lat.dim, lat.det)
-    for m in enumerate_modules(lat):
-        total = QSqrt.of(0, lat.det)
-        for _vl, part in decompose_module(lat, m):
-            total = total + QSqrt.of(1, lat.det) * qdim_base(lat, part)
-        if total != scale * qdim_orbifold(lat, m):
+def check_decomposition_qdims(table: FusionTable) -> CheckResult:
+    lat = table.lattice
+    q = qdims_by_kind(lat)
+    zero = QSqrt.of(0, lat.det)
+    for m in table.labels:
+        total = sum((q[type(part)] for _vl, part in decompose_module(lat, m)), zero)
+        if total != 2**lat.dim * q[type(m)]:
             return CheckResult(
                 "decomposition_qdims", False, f"{format_label(m)} decomposes with qdim sum {total}"
             )
     return CheckResult("decomposition_qdims", True)
 
 
-def check_induction_roundtrip(lat: GramLattice) -> CheckResult:
-    for m in enumerate_modules(lat):
+def check_induction_roundtrip(table: FusionTable) -> CheckResult:
+    lat = table.lattice
+    for m in table.labels:
         if not isinstance(m, Twisted):
             continue
         parts = decompose_module(lat, m)
@@ -274,8 +265,9 @@ def _literal_nondiag(lat: GramLattice, a: NonDiag, b: NonDiag) -> Optional[dict]
     return out
 
 
-def check_nondiag_unified_vs_literal(lat: GramLattice) -> CheckResult:
-    nd = [m for m in enumerate_modules(lat) if isinstance(m, NonDiag)]
+def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
+    lat = table.lattice
+    nd = [m for m in table.labels if isinstance(m, NonDiag)]
     for a in nd:
         for b in nd:
             unified = fuse_orbifold(lat, a, b)
@@ -308,38 +300,30 @@ def check_nondiag_unified_vs_literal(lat: GramLattice) -> CheckResult:
 
 
 def check_multiplicities(table: FusionTable) -> CheckResult:
-    bad = np.argwhere(table.tensor > 1)
-    if len(bad) == 0:
-        return CheckResult("multiplicities_are_01", True)
-    a, b, c = bad[0]
-    labels = table.labels
-    return CheckResult(
-        "multiplicities_are_01",
-        False,
-        f"N({format_label(labels[a])}, {format_label(labels[b])};"
-        f" {format_label(labels[c])}) = {int(table.tensor[a, b, c])}",
+    t = table.tensor
+    return _witness(
+        table, "multiplicities_are_01", t > 1, lambda i, s: f"N({s[0]}, {s[1]}; {s[2]}) = {int(t[i])}"
     )
 
 
-def run_checks(lat: GramLattice, table: FusionTable) -> List[CheckResult]:
+def run_checks(table: FusionTable) -> List[CheckResult]:
     return [
-        check_module_count(lat),
+        check_module_count(table),
         check_identity(table),
         check_commutativity(table),
         check_associativity(table),
         check_qdim_homomorphism(table),
-        check_qdim_lower_bound(lat),
+        check_qdim_lower_bound(table),
         check_duality_pairing(table),
         check_dual_antiautomorphism(table),
-        check_glob(lat),
-        check_decomposition_qdims(lat),
-        check_induction_roundtrip(lat),
-        check_nondiag_unified_vs_literal(lat),
+        check_glob(table),
+        check_decomposition_qdims(table),
+        check_induction_roundtrip(table),
+        check_nondiag_unified_vs_literal(table),
         check_multiplicities(table),
     ]
 
 
 def verify(lat: GramLattice, max_l: int = 64) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    table = fusion_table(lat, max_l=max_l)
-    return Report(lat, run_checks(lat, table))
+    return Report(lat, run_checks(fusion_table(lat, max_l=max_l)))

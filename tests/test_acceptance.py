@@ -113,7 +113,7 @@ def test_criterion_4_qdim_homomorphism():
 
 def test_criterion_5_unified_nondiag_rule():
     for name in RING_AXIOM_NAMES:
-        res = check_nondiag_unified_vs_literal(get_lattice(name))
+        res = check_nondiag_unified_vs_literal(table_of(name))
         assert res.passed, f"{name}: {res.detail}"
     print("\nPASS criterion 5: unified off-diagonal rule equals the literal case split in all orientations")
 

@@ -21,7 +21,7 @@ from permorb import (
     is_admissible_triple,
     nonsplit_label,
     pi_pairing,
-    qdim_base,
+    qdims_by_kind,
     split_label,
     vector,
     vl_label,
@@ -101,10 +101,11 @@ class TestLabelCounts:
 
 class TestQdimBase:
     def test_values(self, a1):
-        assert qdim_base(a1, split_label(a1, vector([0]), 1)) == QSqrt.of(1, 2)
-        assert qdim_base(a1, nonsplit_label(a1, vector([F(1, 2)]))) == QSqrt.of(2, 2)
+        q = qdims_by_kind(a1)
+        assert q[type(split_label(a1, vector([0]), 1))] == QSqrt.of(1, 2)
+        assert q[type(nonsplit_label(a1, vector([F(1, 2)])))] == QSqrt.of(2, 2)
         chi0 = chi_of_lambda(a1, vector([0]))
-        assert qdim_base(a1, TwistedSplit(chi0, 1)) == QSqrt.sqrt_rad(2)
+        assert q[type(TwistedSplit(chi0, 1))] == QSqrt.sqrt_rad(2)
 
 
 class TestFuseVlPlus:
@@ -183,14 +184,15 @@ def base_suite_failures(lat, rule):
     if any(rule(lat, a, a, unit) != 1 for a in labels):
         failures.append("self_dual_pairing")
 
+    qdim = qdims_by_kind(lat)
     ok = True
     for a in labels:
-        qa = qdim_base(lat, a)
+        qa = qdim[type(a)]
         for b in labels:
-            lhs = qa * qdim_base(lat, b)
+            lhs = qa * qdim[type(b)]
             rhs = QSqrt.of(0, lat.det)
             for c in _fuse_with(lat, labels, rule, a, b):
-                rhs = rhs + qdim_base(lat, c)
+                rhs = rhs + qdim[type(c)]
             if lhs != rhs:
                 ok = False
                 break
@@ -213,7 +215,7 @@ def base_suite_failures(lat, rule):
             failures.append("associativity")
             break
 
-    simple = {a for a in labels if qdim_base(lat, a) == QSqrt.of(1, lat.det)}
+    simple = {a for a in labels if qdim[type(a)] == QSqrt.of(1, lat.det)}
     fusion_simple = {
         a for a in labels if all(len(_fuse_with(lat, labels, rule, a, b)) == 1 for b in labels)
     }

@@ -40,7 +40,15 @@ class TestParseLabel:
             parse_label(a1, "D(1/3;0)")
 
     def test_syntax_errors(self, a1):
-        for bad in ("X(0;0)", "D(0)", "D(0;2)", "N(1/2)", "D(0;0) extra", "D(1/0;0)"):
+        for bad in (
+            "X(0;0)",
+            "D(0)",
+            "D(0;2)",
+            "N(1/2)",
+            "D(0;0) extra",
+            "D(1/0;0)",
+            "D(1e1000000;0)",
+        ):
             with pytest.raises(ParseError):
                 parse_label(a1, bad)
 

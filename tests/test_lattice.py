@@ -11,12 +11,9 @@ from permorb import (
     NotPositiveDefinite,
     NotSymmetric,
     canonicalize,
-    coset_reps_dual_mod_L,
-    coset_reps_L_mod_2L,
     halve_mod_L,
     inner,
     smith_normal_form,
-    two_torsion,
     validate_lattice,
     vector,
 )
@@ -151,13 +148,13 @@ class TestInner:
 
 class TestCosets:
     def test_a1_dual_reps(self, a1):
-        assert list(coset_reps_dual_mod_L(a1)) == [vector([0]), vector([F(1, 2)])]
+        assert list(a1.dual_mod_lattice) == [vector([0]), vector([F(1, 2)])]
 
     def test_a1_mod_two_reps(self, a1):
-        assert list(coset_reps_L_mod_2L(a1)) == [vector([0]), vector([1])]
+        assert list(a1.lattice_mod_two) == [vector([0]), vector([1])]
 
     def test_a1_two_torsion(self, a1):
-        assert list(two_torsion(a1)) == [vector([0]), vector([F(1, 2)])]
+        assert list(a1.torsion) == [vector([0]), vector([F(1, 2)])]
 
     @pytest.mark.parametrize("name", GRAMS)
     def test_sizes(self, name):

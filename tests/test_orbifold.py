@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -31,6 +32,7 @@ from permorb.errors import DegeneratePair
 from permorb.verify import (
     check_associativity,
     check_commutativity,
+    check_decomposition_qdims,
     check_duality_pairing,
     check_identity,
     check_multiplicities,
@@ -310,3 +312,13 @@ class TestVerify:
         table.tensor[i, :, unit] = col[j, :]
         table.tensor[j, :, unit] = col[i, :]
         assert not check_duality_pairing(table).passed
+
+    def test_dropped_constituent_caught(self, a1, monkeypatch):
+        # the check sums the qdims of each module's constituents, so losing one
+        # constituent must break the sum
+        verify_module = importlib.import_module("permorb.verify")
+        monkeypatch.setattr(
+            verify_module, "decompose_module", lambda lat, m: decompose_module(lat, m)[1:]
+        )
+        res = check_decomposition_qdims(fusion_table(a1))
+        assert not res.passed and res.detail.startswith("D(0;0) ")
