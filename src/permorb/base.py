@@ -35,12 +35,12 @@ from .characters import (
     chi_shift,
     pi_pairing,
 )
-from .errors import NotInDual, NotInLattice
 from .lattice import (
     GramLattice,
     Modulus,
     Vector,
     canonicalize,
+    format_vector,
     vec_add,
     vec_neg,
 )
@@ -103,12 +103,15 @@ def vl_label(lat: GramLattice, x: Vector) -> VlLabel:
 
 
 def nonsplit_label(lat: GramLattice, x: Vector) -> NonSplit:
-    """Canonical non-split label: the smaller of x and -x mod 2L."""
-    a = canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE)
+    """Canonical non-split label: the smaller of x and -x mod 2L.
+
+    Raises ``NotInDual`` outside ``L*``, and ``ValueError`` for ``x`` in ``L``,
+    which labels a split module instead.
+    """
+    k = lat.numerators(x)
     if lat.in_lattice(x):
-        raise NotInLattice(f"({x}) lies in L, which labels a split module")
-    b = canonicalize(lat, vec_neg(x), Modulus.DUAL_MOD_2LATTICE)
-    return NonSplit(min(a, b, key=lat.sort_key))
+        raise ValueError(f"({format_vector(x)}) lies in L, which labels a split module")
+    return NonSplit(lat.from_numerators(min(lat.reduce(k, 2), lat.reduce(vec_neg(k), 2)), 2))
 
 
 def split_label(lat: GramLattice, x: Vector, sign: int) -> Split:
@@ -125,8 +128,7 @@ def is_admissible_triple(lat: GramLattice, lam: Vector, mu: Vector, gam: Vector)
     are tested.
     """
     for v in (lam, mu, gam):
-        if not lat.in_dual(v):
-            raise NotInDual("admissible triples are made of dual vectors")
+        lat.pairings(v)  # admissible triples are made of dual vectors
     for q in (1, -1):
         for r in (1, -1):
             s = vec_add(lam, vec_add(tuple(q * c for c in mu), tuple(r * c for c in gam)))

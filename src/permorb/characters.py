@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Tuple
 
-from .errors import NonIntegralPairing, NotInDual, NotInLattice
+from .errors import NonIntegralPairing, NotInLattice
 from .lattice import GramLattice, Vector, inner
 
 SignCharacter = Tuple[int, ...]
@@ -42,14 +42,9 @@ __all__ = [
 
 def chi_of_lambda(lat: GramLattice, lam: Vector) -> SignCharacter:
     """The character attached to a dual vector, as a sign vector."""
-    if not lat.in_dual(lam):
-        raise NotInDual("character labels must lie in the dual lattice")
-    pairings = lat.gram_apply(lam)
-    signs = []
-    for i in range(lat.dim):
-        e = lat.gram[i][i] // 2 + int(pairings[i])
-        signs.append(-1 if e % 2 else 1)
-    return tuple(signs)
+    return tuple(
+        -1 if (lat.gram[i][i] // 2 + p) % 2 else 1 for i, p in enumerate(lat.pairings(lam))
+    )
 
 
 def chi_eval(lat: GramLattice, chi: SignCharacter, alpha: Vector) -> int:
@@ -65,10 +60,7 @@ def chi_eval(lat: GramLattice, chi: SignCharacter, alpha: Vector) -> int:
 
 def chi_shift(lat: GramLattice, chi: SignCharacter, lam: Vector) -> SignCharacter:
     """Twist a character by a dual vector: multiply signs[i] by (-1)^<lam,a_i>."""
-    if not lat.in_dual(lam):
-        raise NotInDual("character shifts are by dual vectors")
-    pairings = lat.gram_apply(lam)
-    return tuple(s * (-1 if int(p) % 2 else 1) for s, p in zip(chi, pairings))
+    return tuple(s * (-1 if p % 2 else 1) for s, p in zip(chi, lat.pairings(lam)))
 
 
 def pi_pairing(lat: GramLattice, lam: Vector, mu: Vector) -> int:
@@ -95,9 +87,7 @@ def weight_parity_sign(lat: GramLattice, lam: Vector, alpha: Vector) -> int:
     """
     if not lat.in_lattice(alpha):
         raise NotInLattice("weight parity is defined for lattice translations")
-    if not lat.in_dual(lam):
-        raise NotInDual("weight parity labels lie in the dual lattice")
-    t = inner(lat, lam, alpha) + inner(lat, alpha, alpha) / 2
+    t = sum(p * a for p, a in zip(lat.pairings(lam), alpha)) + inner(lat, alpha, alpha) / 2
     assert t.denominator == 1
     return -1 if int(t) % 2 else 1
 

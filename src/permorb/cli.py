@@ -37,7 +37,6 @@ from .orbifold import (
     enumerate_modules,
     fuse_orbifold,
     fusion_table,
-    label_sort_key,
     nondiag,
     qdims_by_kind,
     twisted,
@@ -145,8 +144,7 @@ def _cmd_fuse(args) -> int:
     lat = load_gram(args.gram)
     a = parse_label(lat, args.a)
     b = parse_label(lat, args.b)
-    prod = fuse_orbifold(lat, a, b)
-    out = [(format_label(c), prod[c]) for c in sorted(prod, key=lambda m: label_sort_key(lat, m))]
+    out = [(format_label(c), mult) for c, mult in fuse_orbifold(lat, a, b).items()]
     if args.json:
         _print_json(
             {

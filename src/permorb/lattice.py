@@ -8,11 +8,15 @@ tests reduce to integrality tests.  No floating point is used anywhere.
 The discriminant group ``L*/L`` and the related quotients ``L/2L`` and
 ``L*/2L`` are handled through the Smith normal form of the Gram matrix: with
 ``U G V = D`` and ``D = diag(d_1, ..., d_d)``, the columns of ``V`` scaled by
-``1/d_j`` generate ``L*`` over ``L``, so a vector is canonicalized by moving
-to Smith coordinates ``y = V^-1 x``, reducing each component into a
-fundamental box, and mapping back.  Every quotient is a plain tuple of such
-canonical representatives, enumerated box by box in lexicographic Smith
-order.
+``1/d_j`` generate ``L*`` over ``L``.  A dual vector ``x`` is named by its
+integer Smith numerators ``k = U G x``, so that ``k_j = d_j y_j`` for the
+Smith coordinates ``y = V^-1 x``; ``x`` lies in ``L*`` exactly when ``k`` is
+integral.  Its class in ``L*/L`` (``L*/2L``) is ``k`` reduced mod ``d_j``
+(mod ``2 d_j``), and the canonical representative of a class is ``V y`` for
+the reduced numerators.  Lexicographic order of reduced numerators is the
+global Smith order, and every quotient is a plain tuple of canonical
+representatives enumerated in it.  The bilinear form on numerators is the
+integer matrix ``smith_gram``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import add, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -249,8 +254,9 @@ class Modulus(Enum):
 class GramLattice:
     """A positive-definite even lattice given by its integer Gram matrix.
 
-    Immutable after construction; coset representatives and Smith data are
-    computed once and shared, so instances are safe for concurrent read access.
+    Immutable after construction: the Smith data is computed once, and the
+    quotient tuples are cached properties derived from it alone, so
+    instances are safe for concurrent read access.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]]):
@@ -275,23 +281,17 @@ class GramLattice:
         self.dim: int = d
         self.gram: IntMatrix = gram
         u, dd, v = smith_normal_form(gram)
-        self.elementary_divisors: Tuple[int, ...] = tuple(dd[i][i] for i in range(d))
-        det = 1
-        for e in self.elementary_divisors:
-            det *= e
-        self.det: int = det
-        self._v = v
-        # U G V = D, so V^-1 = D^-1 U G, with every division exact
-        ug = _mat_mul(u, gram)
-        assert all(x % e == 0 for row, e in zip(ug, self.elementary_divisors) for x in row)
-        self._v_inv: IntMatrix = tuple(
-            tuple(x // e for x in row) for row, e in zip(ug, self.elementary_divisors)
+        divs = self.elementary_divisors = tuple(dd[i][i] for i in range(d))
+        self.det: int = math.prod(divs)
+        self._u, self._v = u, v
+        # <x, x'> = k^T W k' / e for numerators k, k', with e = d_d the exponent
+        # of L*/L; W = e D^-1 V^T G V D^-1 is integral because G V = U^-1 D
+        e = divs[-1]
+        vgv = _mat_mul(tuple(zip(*v)), _mat_mul(gram, v))
+        assert all(p * e % (a * b) == 0 for row, a in zip(vgv, divs) for p, b in zip(row, divs))
+        self.smith_gram: IntMatrix = tuple(
+            tuple(p * e // (a * b) for p, b in zip(row, divs)) for row, a in zip(vgv, divs)
         )
-        # memoized coordinate work; keys are immutable vectors, so sharing
-        # these dicts across reader threads is safe
-        self._smith_cache: dict = {}
-        self._gram_cache: dict = {}
-        self._canon_cache: dict = {}
 
     def __repr__(self) -> str:
         return f"GramLattice(dim={self.dim}, det={self.det})"
@@ -300,39 +300,72 @@ class GramLattice:
 
     def smith_coords(self, x: Vector) -> Vector:
         """Coordinates of ``x`` with respect to the Smith basis ``V``."""
-        y = self._smith_cache.get(x)
-        if y is None:
-            if len(x) != self.dim:
-                raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
-            y = _matvec_frac(self._v_inv, x)
-            self._smith_cache[x] = y
-        return y
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
+        k = _matvec_frac(self._u, _matvec_frac(self.gram, x))
+        return tuple(c / d for c, d in zip(k, self.elementary_divisors))
 
-    def from_smith_coords(self, y: Vector) -> Vector:
-        return _matvec_frac(self._v, y)
+    def pairings(self, x: Vector) -> Tuple[int, ...]:
+        """The integers ``<x, alpha_i>``, that is ``G x``; raises ``NotInDual``
+        unless ``x`` lies in ``L*``."""
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
+        den = math.lcm(*(c.denominator for c in x))
+        ints = [c.numerator * (den // c.denominator) for c in x]
+        gx = [sum(map(mul, row, ints)) for row in self.gram]
+        if any(c % den for c in gx):
+            raise NotInDual(f"vector ({format_vector(x)}) is not in the dual lattice")
+        return tuple(c // den for c in gx)
 
-    def sort_key(self, x: Vector) -> Vector:
-        """The global total order used for all downstream tie-breaking."""
-        return self.smith_coords(x)
+    def numerators(self, x: Vector) -> Tuple[int, ...]:
+        """The Smith numerators ``k = U G x`` of ``x``, unreduced.  This is the
+        membership test of ``L*``: it raises ``NotInDual`` outside it."""
+        gx = self.pairings(x)
+        return tuple(sum(map(mul, row, gx)) for row in self._u)
+
+    def reduce(self, k: Sequence[int], m: int = 1) -> Tuple[int, ...]:
+        """Numerators ``k`` reduced mod ``m d_j``: the class of ``L*/mL``."""
+        return tuple(c % (m * d) for c, d in zip(k, self.elementary_divisors))
+
+    def from_numerators(self, k: Sequence[int], m: int = 1) -> Vector:
+        """The canonical representative of the class of numerators ``k`` in
+        ``L*/mL`` (``m`` is 1 or 2): ``V y`` with ``y_j = (k_j mod m d_j)/d_j``."""
+        e = self.elementary_divisors[-1]
+        ints = [c * (e // d) for c, d in zip(self.reduce(k, m), self.elementary_divisors)]
+        return tuple(Fraction(sum(map(mul, row, ints)), e) for row in self._v)
+
+    # -- the discriminant form on numerators ---------------------------------
+
+    def halve(self, k: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """Every class ``w`` of ``L*/L`` with ``2w = k (mod L)``, as reduced
+        numerators, one per 2-torsion element; ``None`` when there is none."""
+        w0 = []
+        for c, d in zip(self.reduce(k), self.elementary_divisors):
+            if d % 2:
+                # 2 is invertible mod odd d_j
+                w0.append(c * pow(2, -1, d) % d)
+            elif c % 2:
+                return None
+            else:
+                w0.append(c // 2)
+        return tuple(self.reduce(map(add, w0, t)) for t in product(*self._torsion_numerators()))
+
+    def weight_flip(self, k: Sequence[int]) -> int:
+        """The parity (0 or 1) of ``q(x) - q(lam)``, where ``x`` has numerators
+        ``k``, ``lam`` is its canonical representative mod ``L`` and
+        ``q(x) = <x,x>/2``.  It is an integer because ``x - lam`` lies in the
+        even lattice ``L``."""
+        w = self.smith_gram
+        quad = lambda v: sum(a * sum(map(mul, row, v)) for a, row in zip(v, w))
+        diff = quad(k) - quad(self.reduce(k))
+        e2 = 2 * self.elementary_divisors[-1]
+        assert diff % e2 == 0
+        return diff // e2 % 2
 
     # -- membership ---------------------------------------------------------
 
-    def gram_apply(self, x: Vector) -> Vector:
-        gx = self._gram_cache.get(x)
-        if gx is None:
-            if len(x) != self.dim:
-                raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
-            gx = _matvec_frac(self.gram, x)
-            self._gram_cache[x] = gx
-        return gx
-
     def in_lattice(self, x: Vector) -> bool:
         return len(x) == self.dim and all(c.denominator == 1 for c in x)
-
-    def in_dual(self, x: Vector) -> bool:
-        if len(x) != self.dim:
-            return False
-        return all(c.denominator == 1 for c in self.gram_apply(x))
 
     def in_two_lattice(self, x: Vector) -> bool:
         return len(x) == self.dim and all((c / 2).denominator == 1 for c in x)
@@ -342,31 +375,30 @@ class GramLattice:
     @cached_property
     def dual_mod_lattice(self) -> Tuple[Vector, ...]:
         """The discriminant group ``L*/L``, listed in the global sort order."""
-        divs = self.elementary_divisors
-        return _smith_box(self, [[Fraction(k, d) for k in range(d)] for d in divs])
+        return self._box([range(d) for d in self.elementary_divisors])
 
     @cached_property
     def lattice_mod_two(self) -> Tuple[Vector, ...]:
-        return _smith_box(self, [[Fraction(0), Fraction(1)]] * self.dim)
+        return self._box([(0, d) for d in self.elementary_divisors])
 
     @cached_property
     def torsion(self) -> Tuple[Vector, ...]:
         """The 2-torsion subgroup of ``L*/L``, as a subset of its representatives."""
-        divs = self.elementary_divisors
-        # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
-        halves = [[Fraction(0)] if d % 2 else [Fraction(0), Fraction(1, 2)] for d in divs]
-        return _smith_box(self, halves)
+        return self._box(self._torsion_numerators())
 
     @cached_property
     def dual_mod_two_lattice(self) -> Tuple[Vector, ...]:
-        divs = self.elementary_divisors
-        return _smith_box(self, [[Fraction(k, d) for k in range(2 * d)] for d in divs])
+        return self._box([range(2 * d) for d in self.elementary_divisors])
 
+    def _torsion_numerators(self) -> List[Tuple[int, ...]]:
+        # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
+        return [(0,) if d % 2 else (0, d // 2) for d in self.elementary_divisors]
 
-def _smith_box(lat: GramLattice, values: Sequence[Sequence[Fraction]]) -> Tuple[Vector, ...]:
-    """``from_smith_coords(y)`` for every ``y`` in the lexicographic product of
-    the per-coordinate ``values``, which are given in increasing order."""
-    return tuple(lat.from_smith_coords(y) for y in product(*values))
+    def _box(self, values: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
+        """The representative of every numerator vector in the lexicographic
+        product of the per-coordinate ``values``, each given in increasing
+        order below ``2 d_j``."""
+        return tuple(self.from_numerators(k, 2) for k in product(*values))
 
 
 def validate_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:
@@ -378,31 +410,20 @@ def inner(lat: GramLattice, x: Vector, y: Vector) -> Fraction:
     """The bilinear form ``<x, y>`` evaluated exactly."""
     if len(x) != lat.dim or len(y) != lat.dim:
         raise DimensionMismatch("inner product arguments must have the lattice rank")
-    gx = lat.gram_apply(y)
-    return sum((a * b for a, b in zip(x, gx)), Fraction(0))
+    return sum(map(mul, x, _matvec_frac(lat.gram, y)), Fraction(0))
 
 
 def canonicalize(lat: GramLattice, x: Vector, modulus: Modulus) -> Vector:
     """The unique stored representative of ``x``'s coset.
 
-    Reduces each Smith coordinate into ``[0, 1)`` for ``L*/L`` and into
-    ``[0, 2)`` for ``L/2L`` and ``L*/2L``; idempotent by construction.  This
-    is where label constructors check membership: ``x`` outside ``L`` (for
-    ``L/2L``) raises ``NotInLattice``, outside ``L*`` ``NotInDual``.
+    Reduces each Smith numerator mod ``d_j`` for ``L*/L`` and mod ``2 d_j``
+    for ``L/2L`` and ``L*/2L``; idempotent by construction.  This is where
+    label constructors check membership: ``x`` outside ``L`` (for ``L/2L``)
+    raises ``NotInLattice``, outside ``L*`` ``NotInDual``.
     """
-    cached = lat._canon_cache.get((modulus, x))
-    if cached is not None:
-        return cached
-    if modulus is Modulus.LATTICE_MOD_2LATTICE:
-        if not lat.in_lattice(x):
-            raise NotInLattice(f"vector ({format_vector(x)}) is not in the lattice")
-    elif not lat.in_dual(x):
-        raise NotInDual(f"vector ({format_vector(x)}) is not in the dual lattice")
-    y = lat.smith_coords(x)
-    m = 1 if modulus is Modulus.DUAL_MOD_LATTICE else 2
-    out = lat.from_smith_coords(tuple(c % m for c in y))
-    lat._canon_cache[(modulus, x)] = out
-    return out
+    if modulus is Modulus.LATTICE_MOD_2LATTICE and not lat.in_lattice(x):
+        raise NotInLattice(f"vector ({format_vector(x)}) is not in the lattice")
+    return lat.from_numerators(lat.numerators(x), 1 if modulus is Modulus.DUAL_MOD_LATTICE else 2)
 
 
 def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, ...]]:
@@ -412,19 +433,5 @@ def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, ...]]:
     per 2-torsion element), or ``None`` when no solution exists.  Absence of
     a solution is a valid outcome, not an error.
     """
-    y = lat.smith_coords(canonicalize(lat, c, Modulus.DUAL_MOD_LATTICE))
-    divs = lat.elementary_divisors
-    ks = []
-    for yj, dj in zip(y, divs):
-        kc = yj * dj
-        assert kc.denominator == 1
-        kc = int(kc)
-        if dj % 2:
-            # 2 is invertible mod odd d_j
-            ks.append((kc * pow(2, -1, dj)) % dj)
-        elif kc % 2:
-            return None
-        else:
-            ks.append(kc // 2)
-    x0 = lat.from_smith_coords(tuple(Fraction(k, dj) for k, dj in zip(ks, divs)))
-    return tuple(canonicalize(lat, vec_add(x0, g), Modulus.DUAL_MOD_LATTICE) for g in lat.torsion)
+    solutions = lat.halve(lat.numerators(c))
+    return None if solutions is None else tuple(map(lat.from_numerators, solutions))

@@ -15,18 +15,23 @@ Twisted labels carry the only delicate normalization in the theory.  The
 expression ``Twisted(x, eps)`` for a non-canonical ``x = lam + beta`` does
 not simply drop ``beta``: translating the coset label by ``beta`` shifts
 the conformal-weight classes of half the constituents by
-``<lam,beta> + <beta,beta>/2 (mod 2)``, so the parity flips exactly when
-``weight_parity_sign(lam, beta) == -1``.  The ``twisted`` constructor
-performs this resolution; fusion formulas below produce expressions and
-canonicalize through it.  Dropping the flip breaks associativity already
-in rank 1.
+``<lam,beta> + <beta,beta>/2 = q(x) - q(lam) (mod 2)``, with
+``q(x) = <x,x>/2``, so the parity flips exactly when that is odd.  The
+``twisted`` constructor performs this resolution.  Dropping the flip breaks
+associativity already in rank 1.
+
+The fusion rule itself works on integer keys (``label_sort_key``): a kind
+letter, the Smith numerators of the coset labels and the parity.  Sums of
+coset labels are sums of numerators, and the resolving key rules reduce
+them, so the outcome is representative-free.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import product
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +53,6 @@ from .lattice import (
     Modulus,
     Vector,
     canonicalize,
-    halve_mod_L,
     vec_add,
     vec_neg,
     vec_scale,
@@ -98,6 +102,7 @@ class Twisted:
 
 
 OrbifoldLabel = Union[Diag, NonDiag, Twisted]
+Key = Tuple[str, Tuple[int, ...], object]
 
 
 def diag(lat: GramLattice, x: Vector, eps: int) -> Diag:
@@ -105,13 +110,10 @@ def diag(lat: GramLattice, x: Vector, eps: int) -> Diag:
 
 
 def nondiag(lat: GramLattice, x: Vector, y: Vector) -> NonDiag:
-    a = canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE)
-    b = canonicalize(lat, y, Modulus.DUAL_MOD_LATTICE)
-    if a == b:
+    keys = _pair(lat, lat.numerators(x), lat.numerators(y))
+    if len(keys) > 1:
         raise DegeneratePair("the two cosets of an off-diagonal label must differ")
-    if lat.sort_key(b) < lat.sort_key(a):
-        a, b = b, a
-    return NonDiag(a, b)
+    return _label(lat, keys[0])
 
 
 def twisted(lat: GramLattice, x: Vector, eps: int) -> Twisted:
@@ -120,20 +122,41 @@ def twisted(lat: GramLattice, x: Vector, eps: int) -> Twisted:
     The parity flips when moving ``x`` to its canonical representative
     crosses a translation of odd weight parity; see the module docstring.
     """
-    lam = canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE)
-    beta = vec_sub(x, lam)
-    if weight_parity_sign(lat, lam, beta) < 0:
-        eps = eps + 1
-    return Twisted(lam, eps % 2)
+    return _label(lat, _twisted_key(lat, lat.numerators(x), eps))
 
 
-def label_sort_key(lat: GramLattice, m: OrbifoldLabel):
-    """Global deterministic order: all Diag, then NonDiag, then Twisted."""
-    if isinstance(m, Diag):
-        return (0, lat.sort_key(m.lam), m.eps)
+def label_sort_key(lat: GramLattice, m: OrbifoldLabel) -> Key:
+    """The integer key of a label: ``("D", k, eps)``, ``("N", k, k')`` or
+    ``("T", k, eps)``, with ``k`` the Smith numerators of its cosets.  Keys
+    sort in the global order: all Diag, then NonDiag, then Twisted."""
     if isinstance(m, NonDiag):
-        return (1, lat.sort_key(m.lam), lat.sort_key(m.mu))
-    return (2, lat.sort_key(m.lam), m.eps)
+        return ("N", lat.numerators(m.lam), lat.numerators(m.mu))
+    return ("D" if isinstance(m, Diag) else "T", lat.numerators(m.lam), m.eps)
+
+
+def _label(lat: GramLattice, key: Key) -> OrbifoldLabel:
+    """The label with this key: the inverse of ``label_sort_key``."""
+    kind, k, last = key
+    if kind == "N":
+        return NonDiag(lat.from_numerators(k), lat.from_numerators(last))
+    return (Diag if kind == "D" else Twisted)(lat.from_numerators(k), last)
+
+
+def _pair(lat: GramLattice, x: Sequence[int], y: Sequence[int]) -> List[Key]:
+    """The keys over the coset pair of numerators ``(x, y)``: both Diag
+    labels when the cosets agree, else the one NonDiag label."""
+    a, b = lat.reduce(x), lat.reduce(y)
+    if a == b:
+        return [("D", a, 0), ("D", a, 1)]
+    return [("N", min(a, b), max(a, b))]
+
+
+def _twisted_key(lat: GramLattice, x: Sequence[int], eps: int) -> Key:
+    return ("T", lat.reduce(x), (eps + lat.weight_flip(x)) % 2)
+
+
+def _add(*vs: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(map(sum, zip(*vs)))
 
 
 def enumerate_modules(lat: GramLattice) -> List[OrbifoldLabel]:
@@ -252,59 +275,45 @@ def is_simple_current(lat: GramLattice, m: OrbifoldLabel) -> bool:
     return qdim_orbifold(lat, m) == QSqrt.of(1, lat.det)
 
 
-def _contribution(lat: GramLattice, x: Vector, y: Vector) -> List[OrbifoldLabel]:
-    cx = canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE)
-    cy = canonicalize(lat, y, Modulus.DUAL_MOD_LATTICE)
-    if cx == cy:
-        return [Diag(cx, 0), Diag(cx, 1)]
-    return [nondiag(lat, x, y)]
+def _fuse_keys(lat: GramLattice, a: Key, b: Key) -> List[Key]:
+    """The fusion rule on label keys: every label of ``a x b``, listed once
+    per unit of multiplicity.  Case analysis on the unordered kind pair."""
+    if a[0] > b[0]:
+        a, b = b, a
+    (ka, xa, ya), (kb, xb, yb) = a, b
+    kinds = ka + kb
+    if kinds == "DD":
+        return [("D", lat.reduce(_add(xa, xb)), (ya + yb) % 2)]
+    if kinds == "DN":
+        return _pair(lat, _add(xa, xb), _add(xa, yb))
+    if kinds == "DT":
+        return [_twisted_key(lat, _add(xa, xa, xb), ya + yb)]
+    if kinds == "NN":
+        return _pair(lat, _add(xa, xb), _add(ya, yb)) + _pair(lat, _add(ya, xb), _add(xa, yb))
+    if kinds == "NT":
+        s = _add(xa, ya, xb)
+        return [_twisted_key(lat, s, 0), _twisted_key(lat, s, 1)]
+    # TT: a Diag label for each solution of 2w = s (mod L), its parity flipped
+    # by the weight change of moving a's label by the lattice vector s - 2w
+    s = _add(xa, xb)
+    out: List[Key] = []
+    for w in lat.halve(s) or ():
+        moved = tuple(2 * p + q - 2 * r for p, q, r in zip(xa, xb, w))
+        out.append(("D", w, (ya + yb + lat.weight_flip(moved)) % 2))
+    # every other delta pairs with s - delta; emit each pair once, from its
+    # smaller member (a solution pairs with itself and is skipped)
+    for delta in product(*map(range, lat.elementary_divisors)):
+        other = lat.reduce(tuple(c - t for c, t in zip(s, delta)))
+        if delta < other:
+            out.append(("N", delta, other))
+    return out
 
 
 def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[OrbifoldLabel, int]:
-    """Fusion product of two orbifold modules; every multiplicity is 1.
-
-    Case analysis on the unordered kind pair.  All lattice sums are formed
-    on canonical representatives and the results re-canonicalized through
-    the resolving constructors, so the outcome is representative-free.
-    """
-    rank = {Diag: 0, NonDiag: 1, Twisted: 2}
-    if rank[type(a)] > rank[type(b)]:
-        a, b = b, a
-    out: Dict[OrbifoldLabel, int] = {}
-
-    def add(label: OrbifoldLabel):
-        out[label] = out.get(label, 0) + 1
-
-    if isinstance(a, Diag) and isinstance(b, Diag):
-        add(diag(lat, vec_add(a.lam, b.lam), a.eps + b.eps))
-    elif isinstance(a, Diag) and isinstance(b, NonDiag):
-        add(nondiag(lat, vec_add(a.lam, b.lam), vec_add(a.lam, b.mu)))
-    elif isinstance(a, Diag) and isinstance(b, Twisted):
-        add(twisted(lat, vec_add(vec_scale(2, a.lam), b.lam), a.eps + b.eps))
-    elif isinstance(a, NonDiag) and isinstance(b, NonDiag):
-        for c in _contribution(lat, vec_add(a.lam, b.lam), vec_add(a.mu, b.mu)):
-            add(c)
-        for c in _contribution(lat, vec_add(a.mu, b.lam), vec_add(a.lam, b.mu)):
-            add(c)
-    elif isinstance(a, NonDiag) and isinstance(b, Twisted):
-        s = vec_add(vec_add(a.lam, a.mu), b.lam)
-        add(twisted(lat, s, 0))
-        add(twisted(lat, s, 1))
-    else:
-        assert isinstance(a, Twisted) and isinstance(b, Twisted)
-        s = vec_add(a.lam, b.lam)
-        solutions = halve_mod_L(lat, s) or ()
-        for w in solutions:
-            shift = vec_sub(s, vec_scale(2, w))
-            flip = 1 if weight_parity_sign(lat, a.lam, shift) < 0 else 0
-            add(Diag(w, (a.eps + b.eps + flip) % 2))
-        # every other delta pairs with s - delta; emit each pair once, from its
-        # smaller member (a solution pairs with itself and is skipped)
-        for delta in lat.dual_mod_lattice:
-            other = canonicalize(lat, vec_sub(s, delta), Modulus.DUAL_MOD_LATTICE)
-            if lat.sort_key(delta) < lat.sort_key(other):
-                add(NonDiag(delta, other))
-    return out
+    """Fusion product of two orbifold modules, in the global label order;
+    every multiplicity is 1."""
+    keys = Counter(_fuse_keys(lat, label_sort_key(lat, a), label_sort_key(lat, b)))
+    return {_label(lat, c): mult for c, mult in sorted(keys.items())}
 
 
 class FusionTable:
@@ -327,13 +336,12 @@ def fusion_table(lat: GramLattice, max_l: int = 64) -> FusionTable:
             f"discriminant group has order {lat.det}, above the guard {max_l}"
         )
     labels = enumerate_modules(lat)
-    index = {m: i for i, m in enumerate(labels)}
+    keys = [label_sort_key(lat, m) for m in labels]
+    index = {k: i for i, k in enumerate(keys)}
     n = len(labels)
     tensor = np.zeros((n, n, n), dtype=np.int16)
     for i in range(n):
         for j in range(i, n):
-            prod = fuse_orbifold(lat, labels[i], labels[j])
-            for c, mult in prod.items():
-                tensor[i, j, index[c]] = mult
-                tensor[j, i, index[c]] = mult
+            for c, mult in Counter(_fuse_keys(lat, keys[i], keys[j])).items():
+                tensor[i, j, index[c]] = tensor[j, i, index[c]] = mult
     return FusionTable(lat, labels, tensor)

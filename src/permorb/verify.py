@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .base import TwistedSplit
-from .lattice import GramLattice, Modulus, canonicalize, vec_add
+from .lattice import GramLattice
 from .orbifold import (
     Diag,
     FusionTable,
@@ -28,11 +29,10 @@ from .orbifold import (
     decompose_module,
     dual_orbifold,
     enumerate_modules,
-    fuse_orbifold,
     fusion_table,
     glob,
     induce,
-    nondiag,
+    label_sort_key,
     qdims_by_kind,
 )
 from .qsqrt import QSqrt
@@ -234,68 +234,58 @@ def check_induction_roundtrip(table: FusionTable) -> CheckResult:
     return CheckResult("induction_roundtrip", True)
 
 
-def _literal_nondiag(lat: GramLattice, a: NonDiag, b: NonDiag) -> Optional[dict]:
-    """Verbatim case split for a fixed orientation of both unordered pairs.
+def _literal_nondiag(lat: GramLattice, lam, mu, gam, dlt) -> Optional[Counter]:
+    """Verbatim case split for ``N(lam, mu) x N(gam, dlt)`` in this fixed
+    orientation of both unordered pairs, on Smith numerators.
 
     Returns ``None`` when no case of the stated table covers this
     orientation (its transpose is covered instead).
     """
-    lam, mu, gam, dlt = a.lam, a.mu, b.lam, b.mu
-    red = lambda x: canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE)
-    same1 = red(vec_add(lam, gam)) == red(vec_add(mu, dlt))
-    same2 = red(vec_add(mu, gam)) == red(vec_add(lam, dlt))
-    out: dict = {}
-
-    def add(lab):
-        out[lab] = out.get(lab, 0) + 1
-
+    red = lambda x, y: lat.reduce(map(add, x, y))
+    nd = lambda x, y: ("N", min(x, y), max(x, y))
+    lam_gam, mu_dlt, mu_gam, lam_dlt = red(lam, gam), red(mu, dlt), red(mu, gam), red(lam, dlt)
+    same1, same2 = lam_gam == mu_dlt, mu_gam == lam_dlt
+    out: Counter = Counter()
     if same1 and same2:
         for eps in (0, 1):
-            add(Diag(red(vec_add(lam, gam)), eps))
-            add(Diag(red(vec_add(mu, gam)), eps))
+            out[("D", lam_gam, eps)] += 1
+            out[("D", mu_gam, eps)] += 1
     elif not same1 and same2:
-        add(nondiag(lat, vec_add(lam, gam), vec_add(mu, dlt)))
+        out[nd(lam_gam, mu_dlt)] += 1
         for eps in (0, 1):
-            add(Diag(red(vec_add(mu, gam)), eps))
+            out[("D", mu_gam, eps)] += 1
     elif not same1 and not same2:
-        add(nondiag(lat, vec_add(lam, gam), vec_add(mu, dlt)))
-        add(nondiag(lat, vec_add(mu, gam), vec_add(lam, dlt)))
+        out[nd(lam_gam, mu_dlt)] += 1
+        out[nd(mu_gam, lam_dlt)] += 1
     else:
         return None
     return out
 
 
 def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
+    """Every NonDiag x NonDiag row of the table against the literal case
+    split, in all four orientations of the two pairs."""
     lat = table.lattice
-    nd = [m for m in table.labels if isinstance(m, NonDiag)]
-    for a in nd:
-        for b in nd:
-            unified = fuse_orbifold(lat, a, b)
-            orientations = [
-                (NonDiag(a.lam, a.mu), NonDiag(b.lam, b.mu)),
-                (NonDiag(a.mu, a.lam), NonDiag(b.lam, b.mu)),
-                (NonDiag(a.lam, a.mu), NonDiag(b.mu, b.lam)),
-                (NonDiag(a.mu, a.lam), NonDiag(b.mu, b.lam)),
-            ]
-            covered = 0
-            for oa, ob in orientations:
-                literal = _literal_nondiag(lat, oa, ob)
-                if literal is None:
-                    continue
-                covered += 1
-                if literal != unified:
-                    return CheckResult(
-                        "nondiag_unified_vs_literal",
-                        False,
-                        f"{format_label(a)} x {format_label(b)}: literal case split"
-                        f" disagrees with the unified rule",
-                    )
-            if covered == 0:
-                return CheckResult(
-                    "nondiag_unified_vs_literal",
-                    False,
-                    f"no orientation of {format_label(a)} x {format_label(b)} is covered",
-                )
+    keys = [label_sort_key(lat, m) for m in table.labels]
+    nd = [i for i, k in enumerate(keys) if k[0] == "N"]
+    for i in nd:
+        _, lam, mu = keys[i]
+        for j in nd:
+            _, gam, dlt = keys[j]
+            row = table.tensor[i, j]
+            unified = Counter({keys[c]: int(row[c]) for c in row.nonzero()[0]})
+            orientations = [(lam, mu, gam, dlt), (mu, lam, gam, dlt), (lam, mu, dlt, gam), (mu, lam, dlt, gam)]
+            literals = [x for x in (_literal_nondiag(lat, *o) for o in orientations) if x is not None]
+            if literals and all(literal == unified for literal in literals):
+                continue
+            names = f"{format_label(table.labels[i])} x {format_label(table.labels[j])}"
+            return CheckResult(
+                "nondiag_unified_vs_literal",
+                False,
+                f"{names}: literal case split disagrees with the unified rule"
+                if literals
+                else f"no orientation of {names} is covered",
+            )
     return CheckResult("nondiag_unified_vs_literal", True)
 
 

@@ -83,17 +83,24 @@ def _descent_lower_bounds(lat, a, b):
     return lows
 
 
+def _decomposed(lat, decomps, m):
+    """``decompose_module(lat, m)``, computed once per label in ``decomps``."""
+    if m not in decomps:
+        decomps[m] = decompose_module(lat, m)
+    return decomps[m]
+
+
 def oracle_fuse(lat, a, b, labels=None, decomps=None):
     """Certified fusion product of two orbifold labels, or raise."""
     if labels is None:
         labels = enumerate_modules(lat)
     if decomps is None:
         decomps = {}
-    w1 = decomps.setdefault(a, decompose_module(lat, a))[0]
-    w2 = decomps.setdefault(b, decompose_module(lat, b))[0]
+    w1 = _decomposed(lat, decomps, a)[0]
+    w2 = _decomposed(lat, decomps, b)[0]
     bounds = {}
     for c in labels:
-        parts = decomps.setdefault(c, decompose_module(lat, c))
+        parts = _decomposed(lat, decomps, c)
         m = _restriction_bound(lat, w1, w2, parts)
         if m:
             bounds[c] = m

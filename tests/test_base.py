@@ -5,6 +5,7 @@ import pytest
 
 from permorb import (
     NonSplit,
+    NotInAmbientGroup,
     QSqrt,
     Split,
     TwistedSplit,
@@ -106,6 +107,18 @@ class TestQdimBase:
         assert q[type(nonsplit_label(a1, vector([F(1, 2)])))] == QSqrt.of(2, 2)
         chi0 = chi_of_lambda(a1, vector([0]))
         assert q[type(TwistedSplit(chi0, 1))] == QSqrt.sqrt_rad(2)
+
+
+class TestNonSplitLabel:
+    def test_lattice_vector_is_a_value_error(self, a1):
+        # x in L labels a split module: a bad argument, not a vector outside
+        # the ambient group
+        with pytest.raises(ValueError) as exc:
+            nonsplit_label(a1, vector([1]))
+        assert not isinstance(exc.value, NotInAmbientGroup)
+
+    def test_smaller_of_x_and_minus_x(self, a1):
+        assert nonsplit_label(a1, vector([F(3, 2)])) == NonSplit(vector([F(1, 2)]))
 
 
 class TestFuseVlPlus:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permorb import NotInDual, ParseError, enumerate_modules
+from permorb import NotInDual, ParseError, PermorbError, enumerate_modules
 from permorb.cli import load_gram, parse_label, run
 from permorb.errors import DegeneratePair
 from permorb.render import format_label
@@ -57,6 +59,30 @@ class TestParseLabel:
         lat = get_lattice(name)
         for m in enumerate_modules(lat):
             assert parse_label(lat, format_label(m)) == m
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_coordinates_parse_or_raise(self, data):
+        # a coset representative plus an integer shift, or arbitrary rationals
+        lat = get_lattice(data.draw(st.sampled_from(["a1", "a2", "odd7", "chain3"])))
+        frac = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+        shifted = st.tuples(
+            st.sampled_from(list(lat.dual_mod_lattice)), st.tuples(*([st.integers(-3, 3)] * lat.dim))
+        ).map(lambda rs: tuple(r + s for r, s in zip(*rs)))
+        coords = st.one_of(shifted, st.tuples(*([frac] * lat.dim)))
+        text = lambda x: ",".join(map(str, x))
+        kind = data.draw(st.sampled_from("DNT"))
+        if kind == "N":
+            label = f"N({text(data.draw(coords))},{text(data.draw(coords))})"
+        else:
+            label = f"{kind}({text(data.draw(coords))};{data.draw(st.sampled_from('01'))})"
+        try:
+            m = parse_label(lat, label)
+        except PermorbError:
+            return
+        printed = format_label(m)
+        assert parse_label(lat, printed) == m
+        assert format_label(parse_label(lat, printed)) == printed
 
     def test_rank_two_nondiag_parses(self, a2):
         m = next(x for x in enumerate_modules(a2) if format_label(x).startswith("N"))

@@ -8,6 +8,8 @@ from permorb import (
     Modulus,
     NotEven,
     NotInAmbientGroup,
+    NotInDual,
+    PermorbError,
     NotPositiveDefinite,
     NotSymmetric,
     canonicalize,
@@ -16,9 +18,12 @@ from permorb import (
     smith_normal_form,
     validate_lattice,
     vector,
+    weight_parity_sign,
 )
+from permorb.cli import parse_label
 from permorb.errors import DimensionMismatch
 from permorb.lattice import vec_add, vec_sub
+from permorb.orbifold import fusion_table
 
 from conftest import GRAMS, get_lattice
 
@@ -69,6 +74,23 @@ class TestValidate:
     def test_expected_determinants(self, name):
         gram, expected_det = GRAMS[name]
         assert get_lattice(name).det == expected_det
+
+
+class TestRandomGram:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_builds_or_raises_permorb_error(self, data):
+        d = data.draw(st.integers(1, 3))
+        gram = [[0] * d for _ in range(d)]
+        for i in range(d):
+            gram[i][i] = data.draw(st.integers(-2, 8))
+            for j in range(i + 1, d):
+                gram[i][j] = gram[j][i] = data.draw(st.integers(-6, 6))
+        try:
+            lat = validate_lattice(gram)
+        except PermorbError:
+            return
+        assert lat.det == det(gram) == len(lat.dual_mod_lattice)
 
 
 class TestSmithNormalForm:
@@ -213,6 +235,52 @@ class TestCanonicalize:
         assert canonicalize(lat, c, Modulus.DUAL_MOD_LATTICE) == c
         c2 = canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE)
         assert lat.in_two_lattice(vec_sub(x, c2))
+
+
+class TestNumerators:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_membership_agrees_with_gram_integrality(self, data):
+        lat = get_lattice(data.draw(st.sampled_from(["a1", "a2", "odd7", "chain3", "d4", "scaled12"])))
+        frac = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+        x = data.draw(st.tuples(*([frac] * lat.dim)))
+        in_dual = all(sum(g * c for g, c in zip(row, x)).denominator == 1 for row in lat.gram)
+        try:
+            k = lat.numerators(x)
+        except NotInDual:
+            assert not in_dual
+            return
+        assert in_dual
+        assert tuple(F(c, d) for c, d in zip(k, lat.elementary_divisors)) == lat.smith_coords(x)
+        assert lat.in_lattice(vec_sub(x, lat.from_numerators(k)))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_weight_flip_is_the_weight_parity_of_the_shift(self, data):
+        # the integer flip on numerators against the rational weight parity
+        lat = get_lattice(data.draw(st.sampled_from(["a1", "a2", "odd7", "chain3", "d4", "scaled12"])))
+        rep = data.draw(st.sampled_from(list(lat.dual_mod_lattice)))
+        beta = vector(data.draw(st.tuples(*([st.integers(-4, 4)] * lat.dim))))
+        flip = lat.weight_flip(lat.numerators(vec_add(rep, beta)))
+        assert flip == (1 if weight_parity_sign(lat, rep, beta) < 0 else 0)
+
+    def test_no_memo_dicts_after_heavy_use(self):
+        # nothing keyed by user input accumulates on the lattice
+        lat = validate_lattice(GRAMS["odd7"][0])
+        fusion_table(lat)
+        texts = {
+            f"{kind}({a + i},{b + j};{eps})"
+            for kind in "DT"
+            for a, b in lat.dual_mod_lattice
+            for i in range(-3, 4)
+            for j in range(-3, 4)
+            for eps in (0, 1)
+            if (i, j) != (0, 0)
+        }
+        assert len(texts) >= 500
+        for text in sorted(texts)[:500]:
+            parse_label(lat, text)
+        assert [name for name, value in vars(lat).items() if isinstance(value, dict)] == []
 
 
 class TestHalving:
