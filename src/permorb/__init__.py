@@ -83,6 +83,6 @@ from .orbifold import (
     twisted,
 )
 from .qsqrt import QSqrt
-from .verify import Report, verify
+from .verify import Report
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ slots and testing each triple against the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from .characters import (
     SignCharacter,
@@ -53,6 +53,7 @@ __all__ = [
     "VlPlusLabel",
     "vl_label",
     "nonsplit_label",
+    "nonsplit_of_numerators",
     "split_label",
     "is_admissible_triple",
     "fuse_vl",
@@ -102,6 +103,11 @@ def vl_label(lat: GramLattice, x: Vector) -> VlLabel:
     return VlLabel(canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE))
 
 
+def nonsplit_of_numerators(lat: GramLattice, k: Sequence[int]) -> NonSplit:
+    """The non-split label of numerators ``k`` (not in ``L``): min(k, -k) mod 2L."""
+    return NonSplit(lat.from_numerators(min(lat.reduce(k, 2), lat.reduce(vec_neg(k), 2)), 2))
+
+
 def nonsplit_label(lat: GramLattice, x: Vector) -> NonSplit:
     """Canonical non-split label: the smaller of x and -x mod 2L.
 
@@ -111,7 +117,7 @@ def nonsplit_label(lat: GramLattice, x: Vector) -> NonSplit:
     k = lat.numerators(x)
     if lat.in_lattice(x):
         raise ValueError(f"({format_vector(x)}) lies in L, which labels a split module")
-    return NonSplit(lat.from_numerators(min(lat.reduce(k, 2), lat.reduce(vec_neg(k), 2)), 2))
+    return nonsplit_of_numerators(lat, k)
 
 
 def split_label(lat: GramLattice, x: Vector, sign: int) -> Split:
@@ -127,14 +133,13 @@ def is_admissible_triple(lat: GramLattice, lam: Vector, mu: Vector, gam: Vector)
     The global sign is quotiented out, so only the four relative patterns
     are tested.
     """
-    for v in (lam, mu, gam):
-        lat.pairings(v)  # admissible triples are made of dual vectors
-    for q in (1, -1):
-        for r in (1, -1):
-            s = vec_add(lam, vec_add(tuple(q * c for c in mu), tuple(r * c for c in gam)))
-            if lat.in_two_lattice(s):
-                return True
-    return False
+    a, b, c = (lat.numerators(v) for v in (lam, mu, gam))
+    # a dual vector lies in 2L exactly when its numerators vanish mod 2 d_j
+    return any(
+        not any(lat.reduce([x + q * y + r * z for x, y, z in zip(a, b, c)], 2))
+        for q in (1, -1)
+        for r in (1, -1)
+    )
 
 
 def fuse_vl(lat: GramLattice, a: VlLabel, b: VlLabel) -> VlLabel:

@@ -13,14 +13,16 @@ not extend verbatim to composite vectors: for ``a = sum n_i a_i`` the
 quadratic quantity ``<a,a>/2`` differs from ``sum n_i <a_i,a_i>/2`` by the
 cross terms ``sum_{i<j} n_i n_j <a_i,a_j>``.  Both parities matter
 downstream, so the quadratic variant and the correction sign are exposed
-here as well (``weight_parity_sign`` and ``split_gauge_sign``).
+here as well (``weight_parity_sign`` and ``split_gauge_sign``).  Each rule is
+one integer formula in the pairings ``p = G lam`` and the coordinates ``n``
+of a lattice vector, which the functions on rational vectors wrap.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from typing import Tuple
+from operator import mul
+from typing import Sequence, Tuple
 
 from .errors import NonIntegralPairing, NotInLattice
 from .lattice import GramLattice, Vector, inner
@@ -30,37 +32,53 @@ SignCharacter = Tuple[int, ...]
 __all__ = [
     "SignCharacter",
     "chi_of_lambda",
+    "chi_of_pairings",
     "chi_eval",
     "chi_shift",
     "pi_pairing",
     "all_characters",
     "weight_parity_sign",
+    "weight_parity",
     "split_gauge_sign",
+    "gauge_sign",
     "format_character",
 ]
 
 
+def _sign(t: int) -> int:
+    return -1 if t % 2 else 1
+
+
+def _lattice_coords(lat: GramLattice, alpha: Vector, message: str) -> Tuple[int, ...]:
+    if not lat.in_lattice(alpha):
+        raise NotInLattice(message)
+    return tuple(map(int, alpha))
+
+
+def _half_norm(lat: GramLattice, n: Sequence[int]) -> int:
+    # <n,n>/2 for integer coordinates; an integer because L is even
+    return sum(a * sum(map(mul, row, n)) for a, row in zip(n, lat.gram)) // 2
+
+
+def chi_of_pairings(lat: GramLattice, p: Sequence[int]) -> SignCharacter:
+    """The character attached to a dual vector with pairings ``p = G lam``."""
+    return tuple(_sign(lat.gram[i][i] // 2 + c) for i, c in enumerate(p))
+
+
 def chi_of_lambda(lat: GramLattice, lam: Vector) -> SignCharacter:
     """The character attached to a dual vector, as a sign vector."""
-    return tuple(
-        -1 if (lat.gram[i][i] // 2 + p) % 2 else 1 for i, p in enumerate(lat.pairings(lam))
-    )
+    return chi_of_pairings(lat, lat.pairings(lam))
 
 
 def chi_eval(lat: GramLattice, chi: SignCharacter, alpha: Vector) -> int:
     """Evaluate a character at a lattice vector by homomorphic extension."""
-    if not lat.in_lattice(alpha):
-        raise NotInLattice("characters of L/2L evaluate on lattice vectors")
-    e = 0
-    for s, n in zip(chi, alpha):
-        if s < 0 and int(n) % 2:
-            e ^= 1
-    return -1 if e else 1
+    n = _lattice_coords(lat, alpha, "characters of L/2L evaluate on lattice vectors")
+    return _sign(sum(c for s, c in zip(chi, n) if s < 0))
 
 
 def chi_shift(lat: GramLattice, chi: SignCharacter, lam: Vector) -> SignCharacter:
     """Twist a character by a dual vector: multiply signs[i] by (-1)^<lam,a_i>."""
-    return tuple(s * (-1 if p % 2 else 1) for s, p in zip(chi, lat.pairings(lam)))
+    return tuple(s * _sign(p) for s, p in zip(chi, lat.pairings(lam)))
 
 
 def pi_pairing(lat: GramLattice, lam: Vector, mu: Vector) -> int:
@@ -68,12 +86,17 @@ def pi_pairing(lat: GramLattice, lam: Vector, mu: Vector) -> int:
     t = inner(lat, lam, mu)
     if t.denominator != 1:
         raise NonIntegralPairing(f"<lam,mu> = {t} is not an integer")
-    return -1 if int(t) % 2 else 1
+    return _sign(t.numerator)
 
 
 def all_characters(lat: GramLattice) -> Tuple[SignCharacter, ...]:
     """All ``2^d`` sign characters, plus-signs first."""
     return tuple(product((1, -1), repeat=lat.dim))
+
+
+def weight_parity(lat: GramLattice, p: Sequence[int], n: Sequence[int]) -> int:
+    """``weight_parity_sign`` from ``p = G lam`` and the coordinates ``n`` of ``alpha``."""
+    return _sign(sum(map(mul, p, n)) + _half_norm(lat, n))
 
 
 def weight_parity_sign(lat: GramLattice, lam: Vector, alpha: Vector) -> int:
@@ -85,11 +108,13 @@ def weight_parity_sign(lat: GramLattice, lam: Vector, alpha: Vector) -> int:
     plus/minus bookkeeping in the twisted sector.  It depends only on
     ``alpha`` mod ``2L`` and on ``lam`` mod ``2L*``.
     """
-    if not lat.in_lattice(alpha):
-        raise NotInLattice("weight parity is defined for lattice translations")
-    t = sum(p * a for p, a in zip(lat.pairings(lam), alpha)) + inner(lat, alpha, alpha) / 2
-    assert t.denominator == 1
-    return -1 if int(t) % 2 else 1
+    n = _lattice_coords(lat, alpha, "weight parity is defined for lattice translations")
+    return weight_parity(lat, lat.pairings(lam), n)
+
+
+def gauge_sign(lat: GramLattice, n: Sequence[int]) -> int:
+    """``split_gauge_sign`` on the basis coordinates ``n`` of ``alpha``."""
+    return _sign(_half_norm(lat, n) - sum(c * c * lat.gram[i][i] // 2 for i, c in enumerate(n)))
 
 
 def split_gauge_sign(lat: GramLattice, alpha: Vector) -> int:
@@ -104,13 +129,7 @@ def split_gauge_sign(lat: GramLattice, alpha: Vector) -> int:
     for any ``lam``.  Trivial whenever all off-diagonal Gram entries are
     even (in particular in rank 1).
     """
-    if not lat.in_lattice(alpha):
-        raise NotInLattice("gauge sign is defined on lattice vectors")
-    norm = inner(lat, alpha, alpha)
-    diag = sum(int(n) * int(n) * lat.gram[i][i] for i, n in enumerate(alpha))
-    cross = (norm - diag) / 2
-    assert Fraction(cross).denominator == 1
-    return -1 if int(cross) % 2 else 1
+    return gauge_sign(lat, _lattice_coords(lat, alpha, "gauge sign is defined on lattice vectors"))
 
 
 def format_character(chi: SignCharacter) -> str:

@@ -53,7 +53,10 @@ _EXPONENT_RE = re.compile(r"[\d.][eE][-+]?\d")
 
 def load_gram(path: str) -> GramLattice:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or "gram" not in doc:
         raise ParseError(f"{path}: expected a JSON object with a 'gram' key")
     gram = doc["gram"]
@@ -269,10 +272,14 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PermorbError, OSError, json.JSONDecodeError) as exc:
+    except (PermorbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,8 +15,9 @@ integral.  Its class in ``L*/L`` (``L*/2L``) is ``k`` reduced mod ``d_j``
 (mod ``2 d_j``), and the canonical representative of a class is ``V y`` for
 the reduced numerators.  Lexicographic order of reduced numerators is the
 global Smith order, and every quotient is a plain tuple of canonical
-representatives enumerated in it.  The bilinear form on numerators is the
-integer matrix ``smith_gram``.
+representatives enumerated in it; ``L/2L`` is also kept as the integer pairs
+``(V y, D y)`` for ``y`` in ``{0,1}^d`` (``lattice_mod_two_ints``).  The
+bilinear form on numerators is the integer matrix ``smith_gram``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "vec_add",
     "vec_sub",
     "vec_neg",
-    "vec_scale",
     "format_vector",
 ]
 
@@ -80,31 +80,12 @@ def vec_neg(x: Vector) -> Vector:
     return tuple(-a for a in x)
 
 
-def vec_scale(c, x: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
 def format_vector(x: Vector) -> str:
     return ",".join(str(c) for c in x)
 
 
 def _identity(n: int) -> List[List[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matvec_frac(m: IntMatrix, x: Vector) -> Vector:
-    # integer matrix times rational vector over a common denominator;
-    # one Fraction normalization per output component
-    den = 1
-    for c in x:
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    ints = [int(c * den) for c in x]
-    return tuple(
-        Fraction(sum(row[j] * ints[j] for j in range(len(ints))), den) for row in m
-    )
 
 
 def _mat_mul(a, b):
@@ -298,13 +279,6 @@ class GramLattice:
 
     # -- coordinate changes -------------------------------------------------
 
-    def smith_coords(self, x: Vector) -> Vector:
-        """Coordinates of ``x`` with respect to the Smith basis ``V``."""
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
-        k = _matvec_frac(self._u, _matvec_frac(self.gram, x))
-        return tuple(c / d for c, d in zip(k, self.elementary_divisors))
-
     def pairings(self, x: Vector) -> Tuple[int, ...]:
         """The integers ``<x, alpha_i>``, that is ``G x``; raises ``NotInDual``
         unless ``x`` lies in ``L*``."""
@@ -367,9 +341,6 @@ class GramLattice:
     def in_lattice(self, x: Vector) -> bool:
         return len(x) == self.dim and all(c.denominator == 1 for c in x)
 
-    def in_two_lattice(self, x: Vector) -> bool:
-        return len(x) == self.dim and all((c / 2).denominator == 1 for c in x)
-
     # -- quotients, as canonical representatives in lexicographic Smith order
 
     @cached_property
@@ -378,8 +349,17 @@ class GramLattice:
         return self._box([range(d) for d in self.elementary_divisors])
 
     @cached_property
+    def lattice_mod_two_ints(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+        """``L/2L`` as integers: for each ``y`` in ``{0,1}^d``, in lexicographic
+        order, its representative's coordinates ``n = V y`` and numerators ``k = D y``."""
+        return tuple(
+            (tuple(sum(map(mul, row, y)) for row in self._v), tuple(map(mul, self.elementary_divisors, y)))
+            for y in product((0, 1), repeat=self.dim)
+        )
+
+    @cached_property
     def lattice_mod_two(self) -> Tuple[Vector, ...]:
-        return self._box([(0, d) for d in self.elementary_divisors])
+        return tuple(vector(n) for n, _k in self.lattice_mod_two_ints)
 
     @cached_property
     def torsion(self) -> Tuple[Vector, ...]:
@@ -410,7 +390,7 @@ def inner(lat: GramLattice, x: Vector, y: Vector) -> Fraction:
     """The bilinear form ``<x, y>`` evaluated exactly."""
     if len(x) != lat.dim or len(y) != lat.dim:
         raise DimensionMismatch("inner product arguments must have the lattice rank")
-    return sum(map(mul, x, _matvec_frac(lat.gram, y)), Fraction(0))
+    return sum((a * sum(map(mul, row, y)) for a, row in zip(x, lat.gram)), Fraction(0))
 
 
 def canonicalize(lat: GramLattice, x: Vector, modulus: Modulus) -> Vector:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,22 +43,11 @@ from .base import (
     VlLabel,
     VlPlusLabel,
     fuse_split_twisted,
-    nonsplit_label,
-    split_label,
-    vl_label,
+    nonsplit_of_numerators,
 )
-from .characters import chi_of_lambda, split_gauge_sign, weight_parity_sign
+from .characters import chi_of_lambda, chi_of_pairings, gauge_sign, split_gauge_sign, weight_parity
 from .errors import DegeneratePair, TableTooLarge
-from .lattice import (
-    GramLattice,
-    Modulus,
-    Vector,
-    canonicalize,
-    vec_add,
-    vec_neg,
-    vec_scale,
-    vec_sub,
-)
+from .lattice import GramLattice, Modulus, Vector, canonicalize, vec_neg, vector
 from .qsqrt import QSqrt
 
 __all__ = [
@@ -178,32 +168,29 @@ def enumerate_modules(lat: GramLattice) -> List[OrbifoldLabel]:
 def decompose_module(lat: GramLattice, m: OrbifoldLabel) -> List[Tuple[VlLabel, VlPlusLabel]]:
     """The 2^d constituents of an orbifold module over the product subalgebra.
 
-    The first summand always corresponds to the zero coset of 2L in L and
-    is the defining constituent used by ``induce``.  The split-label signs
-    carry the per-coset alignment ``split_gauge_sign``; without it the sum
-    for the vacuum label would not be closed under fusion on lattices with
-    odd off-diagonal Gram entries.
+    One per class ``alpha`` of ``L/2L``, on numerators: ``(2 lam + alpha,
+    Split(alpha))``, ``(lam + mu + alpha, NonSplit(lam - mu + alpha))`` or
+    ``(lam + alpha, TwistedSplit(chi_{lam + alpha}))``.  The first summand
+    (``alpha = 0``) is the defining constituent used by ``induce``.  The split
+    signs carry the per-coset alignment ``gauge_sign``; without it the vacuum
+    sum would not close under fusion on lattices with odd off-diagonal Gram
+    entries.
     """
+    kind, x, last = label_sort_key(lat, m)
+    p = lat.pairings(m.lam)  # G lam, for the twisted sign rules
     out: List[Tuple[VlLabel, VlPlusLabel]] = []
-    if isinstance(m, NonDiag):
-        s = vec_add(m.lam, m.mu)
-        dlt = vec_sub(m.lam, m.mu)
-        for alpha in lat.lattice_mod_two:
-            out.append(
-                (vl_label(lat, vec_add(s, alpha)), nonsplit_label(lat, vec_add(dlt, alpha)))
-            )
-    elif isinstance(m, Diag):
-        two_lam = vec_scale(2, m.lam)
-        base_sign = -1 if m.eps else 1
-        for alpha in lat.lattice_mod_two:
-            sign = base_sign * split_gauge_sign(lat, alpha)
-            out.append((vl_label(lat, vec_add(two_lam, alpha)), split_label(lat, alpha, sign)))
-    else:
-        base_sign = -1 if m.eps else 1
-        for alpha in lat.lattice_mod_two:
-            x = vec_add(m.lam, alpha)
-            sign = base_sign * weight_parity_sign(lat, m.lam, alpha)
-            out.append((vl_label(lat, x), TwistedSplit(chi_of_lambda(lat, x), sign)))
+    for n, k in lat.lattice_mod_two_ints:
+        if kind == "N":
+            v = _add(x, last, k)
+            part: VlPlusLabel = nonsplit_of_numerators(lat, _add(x, vec_neg(last), k))
+        elif kind == "D":
+            v = _add(x, x, k)
+            part = Split(vector(n), (-1) ** last * gauge_sign(lat, n))
+        else:
+            v = _add(x, k)
+            p_v = tuple(c + sum(map(mul, row, n)) for c, row in zip(p, lat.gram))  # G (lam + alpha)
+            part = TwistedSplit(chi_of_pairings(lat, p_v), (-1) ** last * weight_parity(lat, p, n))
+        out.append((VlLabel(lat.from_numerators(v, 2)), part))
     return out
 
 
@@ -220,15 +207,12 @@ def induce(lat: GramLattice, w: Tuple[VlLabel, VlPlusLabel]) -> Optional[Twisted
         raise TypeError("induction starts from a twisted-sector constituent")
     if chi_of_lambda(lat, v.coords) != t.chi:
         return None
-    lam = canonicalize(lat, v.coords, Modulus.DUAL_MOD_LATTICE)
-    # the orbit element sitting over the canonical coset determines the label;
-    # it comes from the unique current with alpha = lam - v (mod 2L)
-    alpha = canonicalize(lat, vec_sub(lam, v.coords), Modulus.LATTICE_MOD_2LATTICE)
-    current = split_label(lat, alpha, split_gauge_sign(lat, alpha))
-    piece_v = vl_label(lat, vec_add(v.coords, alpha))
-    piece_t = fuse_split_twisted(lat, current, t)
-    assert piece_v == vl_label(lat, lam)
-    return Twisted(lam, 0 if piece_t.sign > 0 else 1)
+    # the orbit element over the canonical coset lam of v comes from the one
+    # current with alpha = lam - v (mod 2L), whose numerators are reduce(k) - k
+    k = lat.numerators(v.coords)
+    alpha = lat.from_numerators(tuple(map(sub, lat.reduce(k), k)), 2)
+    piece_t = fuse_split_twisted(lat, Split(alpha, split_gauge_sign(lat, alpha)), t)
+    return Twisted(lat.from_numerators(k), 0 if piece_t.sign > 0 else 1)
 
 
 # quantum dimension a + b*sqrt(l) of each label kind of both families, as (a, b)

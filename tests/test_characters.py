@@ -19,7 +19,7 @@ from permorb import (
     vector,
     weight_parity_sign,
 )
-from permorb.lattice import vec_add, vec_scale
+from permorb.lattice import vec_add
 
 from conftest import get_lattice
 
@@ -107,7 +107,7 @@ class TestChiShift:
     def test_shift_by_two_dual_is_identity(self, name):
         lat = get_lattice(name)
         for lam in lat.dual_mod_lattice:
-            doubled = vec_scale(2, lam)
+            doubled = tuple(2 * c for c in lam)
             for chi in all_characters(lat):
                 assert chi_shift(lat, chi, doubled) == chi
 

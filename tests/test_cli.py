@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permorb
 from permorb import NotInDual, ParseError, PermorbError, enumerate_modules
 from permorb.cli import load_gram, parse_label, run
 from permorb.errors import DegeneratePair
@@ -102,6 +109,34 @@ class TestLoadGram:
         with pytest.raises(ParseError):
             load_gram(str(path))
 
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{\x00}\x00", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-array"]
+    )
+    def test_undecodable_file_exits_two(self, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert run(["decompose", str(path), "D(0;0)"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_file_exits_zero_or_two(self, tmp_path_factory, data):
+        # arbitrary bytes, or a JSON document with or without a "gram" key
+        leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+        values = st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        )
+        grams = st.lists(st.lists(st.integers(-3, 12), min_size=1, max_size=3), min_size=1, max_size=3)
+        documents = values | st.fixed_dictionaries({"gram": values | grams}, optional={"other": values})
+        raw = st.binary(max_size=64) | documents.map(lambda doc: json.dumps(doc).encode())
+        path = tmp_path_factory.mktemp("fuzz") / "gram.json"
+        path.write_bytes(data.draw(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(["decompose", str(path), "D(0;0)"]) in (0, 2)
+
 
 class TestRun:
     def test_modules_lines(self, capsys, gram_file):
@@ -184,3 +219,20 @@ class TestRun:
         first = capsys.readouterr().out
         run(["table", path, "--csv"])
         assert capsys.readouterr().out == first
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_main(self, gram_file, tmp_path):
+        # the package is imported from this checkout, not from an installed copy
+        env = dict(os.environ, PYTHONPATH=str(Path(permorb.__file__).parents[1]))
+        cmd = [sys.executable, "-m", "permorb.cli", "verify"]
+        done = subprocess.run(cmd + [gram_file("a1")], env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith("PASS ") and "FAIL" not in done.stdout
+        missing = subprocess.run(cmd + [str(tmp_path / "nope.json")], env=env, capture_output=True, text=True)
+        assert missing.returncode == 2 and missing.stderr.startswith("error: ")
+
+    def test_verify_submodule_is_not_shadowed(self):
+        import permorb.verify as V
+
+        assert callable(V.verify) and callable(V.check_identity)

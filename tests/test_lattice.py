@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -184,8 +185,8 @@ class TestCosets:
         assert len(lat.dual_mod_lattice) == lat.det
         assert len(lat.lattice_mod_two) == 2**lat.dim
         assert len(lat.dual_mod_two_lattice) == lat.det * 2**lat.dim
-        torsion_keys = {lat.smith_coords(g) for g in lat.torsion}
-        dual_keys = {lat.smith_coords(r) for r in lat.dual_mod_lattice}
+        torsion_keys = {lat.numerators(g) for g in lat.torsion}
+        dual_keys = {lat.numerators(r) for r in lat.dual_mod_lattice}
         assert torsion_keys <= dual_keys
 
     @pytest.mark.parametrize("name", GRAMS)
@@ -199,7 +200,7 @@ class TestCosets:
         ]
         for reps, modulus in quotients:
             assert len(set(reps)) == len(reps)
-            keys = [lat.smith_coords(r) for r in reps]
+            keys = [lat.numerators(r) for r in reps]
             assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
             for r in reps[:16]:
                 assert canonicalize(lat, r, modulus) == r
@@ -234,7 +235,7 @@ class TestCanonicalize:
         assert lat.in_lattice(vec_sub(x, c))
         assert canonicalize(lat, c, Modulus.DUAL_MOD_LATTICE) == c
         c2 = canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE)
-        assert lat.in_two_lattice(vec_sub(x, c2))
+        assert canonicalize(lat, vec_sub(x, c2), Modulus.LATTICE_MOD_2LATTICE) == vector([0] * lat.dim)
 
 
 class TestNumerators:
@@ -251,7 +252,9 @@ class TestNumerators:
             assert not in_dual
             return
         assert in_dual
-        assert tuple(F(c, d) for c, d in zip(k, lat.elementary_divisors)) == lat.smith_coords(x)
+        # k / d are the coordinates of x in the Smith basis V
+        y = [F(c, d) for c, d in zip(k, lat.elementary_divisors)]
+        assert tuple(sum(map(mul, row, y)) for row in lat._v) == x
         assert lat.in_lattice(vec_sub(x, lat.from_numerators(k)))
 
     @given(st.data())

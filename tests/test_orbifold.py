@@ -4,8 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from permorb import (
     Diag,
+    NonDiag,
+    PermorbError,
     QSqrt,
     Split,
     TableTooLarge,
@@ -20,15 +25,22 @@ from permorb import (
     fusion_table,
     glob,
     induce,
+    inner,
     is_simple_current,
     label_sort_key,
     nondiag,
+    nonsplit_label,
     qdim_orbifold,
+    split_gauge_sign,
+    split_label,
     twisted,
+    validate_lattice,
     vector,
     vl_label,
+    weight_parity_sign,
 )
 from permorb.errors import DegeneratePair
+from permorb.lattice import vec_add, vec_sub
 from permorb.verify import (
     check_associativity,
     check_commutativity,
@@ -127,6 +139,52 @@ class TestDecompose:
         assert len(parts) == 2
         vls = {v for v, _ in parts}
         assert vls == {vl_label(a1, vector([F(1, 2)])), vl_label(a1, vector([F(3, 2)]))}
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_constituents_match_the_rational_definition(self, data):
+        # each constituent against the label constructors applied to its
+        # defining vectors, on random lattices with odd off-diagonal entries;
+        # the sign rules against their definitions through the inner product
+        d = data.draw(st.integers(1, 3))
+        gram = [[0] * d for _ in range(d)]
+        for i in range(d):
+            gram[i][i] = data.draw(st.sampled_from([2, 4, 6, 8]))
+            for j in range(i + 1, d):
+                gram[i][j] = gram[j][i] = data.draw(st.integers(-3, 3))
+        try:
+            lat = validate_lattice(gram)
+        except PermorbError:
+            assume(False)
+        classes = st.tuples(*(st.integers(0, c - 1) for c in lat.elementary_divisors)).map(lat.from_numerators)
+        lam, mu = data.draw(classes), data.draw(classes)
+        x = vec_add(lam, vector(data.draw(st.tuples(*([st.integers(-3, 3)] * d)))))
+        kind, eps = data.draw(st.sampled_from("DNT")), data.draw(st.integers(0, 1))
+        if kind == "N":
+            assume(lam != mu)
+            m = nondiag(lat, x, mu)
+        else:
+            m = (diag if kind == "D" else twisted)(lat, x, eps)
+        sign = lambda t: -1 if t % 2 else 1
+        parts = decompose_module(lat, m)
+        assert len(parts) == 2**d
+        for alpha, got in zip(lat.lattice_mod_two, parts):
+            if isinstance(m, Diag):
+                two_lam = tuple(2 * c for c in m.lam)
+                gauge = split_gauge_sign(lat, alpha)
+                want = (vl_label(lat, vec_add(two_lam, alpha)), split_label(lat, alpha, sign(m.eps) * gauge))
+            elif isinstance(m, NonDiag):
+                s, dlt = vec_add(m.lam, m.mu), vec_sub(m.lam, m.mu)
+                want = (vl_label(lat, vec_add(s, alpha)), nonsplit_label(lat, vec_add(dlt, alpha)))
+            else:
+                lam_alpha = vec_add(m.lam, alpha)
+                parity = weight_parity_sign(lat, m.lam, alpha)
+                want = (vl_label(lat, lam_alpha), TwistedSplit(chi_of_lambda(lat, lam_alpha), sign(m.eps) * parity))
+            assert got == want
+            norm = inner(lat, alpha, alpha)
+            diag_part = sum(int(c) ** 2 * gram[i][i] for i, c in enumerate(alpha))
+            assert split_gauge_sign(lat, alpha) == sign((norm - diag_part) / 2)
+            assert weight_parity_sign(lat, m.lam, alpha) == sign(inner(lat, m.lam, alpha) + norm / 2)
 
     @pytest.mark.parametrize("name", ["a1", "a2", "chain3", "d4"])
     def test_summand_count(self, name):
