@@ -60,7 +60,6 @@ __all__ = [
     "dual_base",
     "fusion_rule_vlplus",
     "fuse_vlplus",
-    "fuse_split_twisted",
     "all_vl_labels",
     "all_vlplus_labels",
 ]
@@ -244,13 +243,6 @@ def fuse_vlplus(lat: GramLattice, a: VlPlusLabel, b: VlPlusLabel) -> Dict[VlPlus
     return {
         c: 1 for c in _candidate_targets(lat, a, b) if fusion_rule_vlplus(lat, a, b, c)
     }
-
-
-def fuse_split_twisted(lat: GramLattice, s: Split, t: TwistedSplit) -> TwistedSplit:
-    """The single twisted label in the product of a split and a twisted one."""
-    chi2 = chi_shift(lat, t.chi, s.coords)
-    sign2 = t.sign * s.sign * chi_eval(lat, t.chi, s.coords)
-    return TwistedSplit(chi2, sign2)
 
 
 def all_vl_labels(lat: GramLattice) -> List[VlLabel]:

@@ -13,7 +13,7 @@ The Gram matrix is read from a JSON document ``{"gram": [[...]]}``.  Labels
 use the compact grammar ``D(coords;eps) | N(coords,coords) | T(coords;eps)``
 with rational coordinates like ``1/2``.  Exit codes: 0 on success (and on a
 fully passing verification), 1 when a verification check fails, 2 on any
-input error.
+input error and when memory runs out.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ __all__ = ["parse_label", "load_gram", "run", "main"]
 _LABEL_RE = re.compile(r"^\s*([DNT])\(([^()]*)\)\s*$")
 # Fraction() evaluates 10**exp exactly, so its cost grows with the exponent
 _EXPONENT_RE = re.compile(r"[\d.][eE][-+]?\d")
+# longest repr of a rejected Gram entry that an error line quotes in full
+_MAX_REPR = 60
 
 
 def load_gram(path: str) -> GramLattice:
@@ -65,7 +67,10 @@ def load_gram(path: str) -> GramLattice:
     for row in gram:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(f"{path}: Gram entries must be integers, got {x!r}")
+                shown = repr(x)
+                if len(shown) > _MAX_REPR:
+                    shown = shown[:_MAX_REPR] + "..."
+                raise ParseError(f"{path}: Gram entries must be integers, got {shown}")
     return validate_lattice(gram)
 
 
@@ -272,8 +277,9 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PermorbError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PermorbError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; name the exception instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -322,7 +322,9 @@ class GramLattice:
                 return None
             else:
                 w0.append(c // 2)
-        return tuple(self.reduce(map(add, w0, t)) for t in product(*self._torsion_numerators()))
+        # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
+        torsion = [(0,) if d % 2 else (0, d // 2) for d in self.elementary_divisors]
+        return tuple(self.reduce(map(add, w0, t)) for t in product(*torsion))
 
     def weight_flip(self, k: Sequence[int]) -> int:
         """The parity (0 or 1) of ``q(x) - q(lam)``, where ``x`` has numerators
@@ -362,17 +364,8 @@ class GramLattice:
         return tuple(vector(n) for n, _k in self.lattice_mod_two_ints)
 
     @cached_property
-    def torsion(self) -> Tuple[Vector, ...]:
-        """The 2-torsion subgroup of ``L*/L``, as a subset of its representatives."""
-        return self._box(self._torsion_numerators())
-
-    @cached_property
     def dual_mod_two_lattice(self) -> Tuple[Vector, ...]:
         return self._box([range(2 * d) for d in self.elementary_divisors])
-
-    def _torsion_numerators(self) -> List[Tuple[int, ...]]:
-        # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
-        return [(0,) if d % 2 else (0, d // 2) for d in self.elementary_divisors]
 
     def _box(self, values: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
         """The representative of every numerator vector in the lexicographic

@@ -42,7 +42,7 @@ from .base import (
     TwistedSplit,
     VlLabel,
     VlPlusLabel,
-    fuse_split_twisted,
+    fuse_vlplus,
     nonsplit_of_numerators,
 )
 from .characters import chi_of_lambda, chi_of_pairings, gauge_sign, split_gauge_sign, weight_parity
@@ -62,10 +62,8 @@ __all__ = [
     "decompose_module",
     "induce",
     "qdims_by_kind",
-    "qdim_orbifold",
     "glob",
     "dual_orbifold",
-    "is_simple_current",
     "fuse_orbifold",
     "FusionTable",
     "fusion_table",
@@ -211,7 +209,7 @@ def induce(lat: GramLattice, w: Tuple[VlLabel, VlPlusLabel]) -> Optional[Twisted
     # current with alpha = lam - v (mod 2L), whose numerators are reduce(k) - k
     k = lat.numerators(v.coords)
     alpha = lat.from_numerators(tuple(map(sub, lat.reduce(k), k)), 2)
-    piece_t = fuse_split_twisted(lat, Split(alpha, split_gauge_sign(lat, alpha)), t)
+    (piece_t,) = fuse_vlplus(lat, Split(alpha, split_gauge_sign(lat, alpha)), t)
     return Twisted(lat.from_numerators(k), 0 if piece_t.sign > 0 else 1)
 
 
@@ -233,10 +231,6 @@ def qdims_by_kind(lat: GramLattice) -> Dict[type, QSqrt]:
     return {kind: QSqrt(a, b, lat.det) for kind, (a, b) in _QDIM.items()}
 
 
-def qdim_orbifold(lat: GramLattice, m: OrbifoldLabel) -> QSqrt:
-    return QSqrt(*_QDIM[type(m)], lat.det)
-
-
 def glob(lat: GramLattice) -> QSqrt:
     """Global dimension: the sum of squared quantum dimensions."""
     q = qdims_by_kind(lat)
@@ -253,10 +247,6 @@ def dual_orbifold(lat: GramLattice, m: OrbifoldLabel) -> OrbifoldLabel:
     if isinstance(m, NonDiag):
         return nondiag(lat, vec_neg(m.lam), vec_neg(m.mu))
     return twisted(lat, vec_neg(m.lam), m.eps)
-
-
-def is_simple_current(lat: GramLattice, m: OrbifoldLabel) -> bool:
-    return qdim_orbifold(lat, m) == QSqrt.of(1, lat.det)
 
 
 def _fuse_keys(lat: GramLattice, a: Key, b: Key) -> List[Key]:
@@ -308,9 +298,6 @@ class FusionTable:
         self.labels = labels
         self.index = {m: i for i, m in enumerate(labels)}
         self.tensor = tensor
-
-    def multiplicity(self, a: OrbifoldLabel, b: OrbifoldLabel, c: OrbifoldLabel) -> int:
-        return int(self.tensor[self.index[a], self.index[b], self.index[c]])
 
 
 def fusion_table(lat: GramLattice, max_l: int = 64) -> FusionTable:

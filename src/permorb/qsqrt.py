@@ -59,10 +59,6 @@ class QSqrt:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "QSqrt":
-        o = self._coerce(other)
-        return QSqrt(self.a - o.a, self.b - o.b, self.rad)
-
     def __mul__(self, other) -> "QSqrt":
         o = self._coerce(other)
         return QSqrt(
@@ -84,9 +80,6 @@ class QSqrt:
     def __hash__(self):
         return hash((self.a, self.b, self.rad if self.b else 1))
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __ge__(self, other) -> bool:
         # sign of a + b*sqrt(rad) - other, by exact comparison of squares
         o = self._coerce(other)
@@ -103,9 +96,6 @@ class QSqrt:
         if a > 0:  # b < 0: need a >= |b|sqrt(rad)
             return lhs >= rhs
         return rhs >= lhs  # a < 0, b > 0
-
-    def __gt__(self, other) -> bool:
-        return self >= other and self != self._coerce(other)
 
     def __str__(self) -> str:
         if self.b == 0:

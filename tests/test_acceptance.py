@@ -7,26 +7,24 @@ clock budgets.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import time
 from fractions import Fraction as F
 
-from permorb import (
+from permorb.base import TwistedSplit, fusion_rule_vlplus
+from permorb.lattice import vector
+from permorb.orbifold import (
     Diag,
     NonDiag,
-    QSqrt,
     Twisted,
-    TwistedSplit,
     decompose_module,
     diag,
     enumerate_modules,
     fuse_orbifold,
-    fusion_rule_vlplus,
     fusion_table,
     glob,
     induce,
-    is_simple_current,
     nondiag,
-    qdim_orbifold,
+    qdims_by_kind,
     twisted,
-    vector,
 )
+from permorb.qsqrt import QSqrt
 from permorb.render import format_label
 from permorb.verify import (
     check_associativity,
@@ -69,8 +67,9 @@ def test_criterion_2_quantum_dimensions():
     for name in ALL_NAMES:
         lat = get_lattice(name)
         l = lat.det
+        qdim = qdims_by_kind(lat)
         for m in enumerate_modules(lat):
-            q = qdim_orbifold(lat, m)
+            q = qdim[type(m)]
             if isinstance(m, Diag):
                 assert q == QSqrt.of(1, l)
             elif isinstance(m, NonDiag):
@@ -177,7 +176,8 @@ def test_criterion_9_e8_edge_case():
     lat = get_lattice("e8")
     mods = enumerate_modules(lat)
     assert len(mods) == 4
-    assert all(is_simple_current(lat, m) for m in mods)
+    qdim = qdims_by_kind(lat)
+    assert all(qdim[type(m)] == QSqrt.of(1, lat.det) for m in mods)
     table = table_of("e8")
     unit = Diag(vector([0] * 8), 0)
     # group ring of order 4: unique unit-multiplicity product everywhere

@@ -3,30 +3,26 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from permorb import (
+from permorb.base import (
     NonSplit,
-    NotInAmbientGroup,
-    QSqrt,
     Split,
     TwistedSplit,
     all_vl_labels,
     all_vlplus_labels,
-    chi_eval,
-    chi_of_lambda,
-    chi_shift,
     dual_base,
-    fuse_split_twisted,
     fuse_vl,
     fuse_vlplus,
     fusion_rule_vlplus,
     is_admissible_triple,
     nonsplit_label,
-    pi_pairing,
-    qdims_by_kind,
     split_label,
-    vector,
     vl_label,
 )
+from permorb.characters import chi_eval, chi_of_lambda, chi_shift, pi_pairing
+from permorb.errors import NotInAmbientGroup
+from permorb.lattice import vector
+from permorb.orbifold import qdims_by_kind
+from permorb.qsqrt import QSqrt
 
 from conftest import BASE_SUITE_NAMES, get_lattice
 
@@ -156,7 +152,8 @@ class TestFuseVlPlus:
             s = split_label(a1, vector([1]), sign)
             t = TwistedSplit(chi0, 1)
             out = fuse_vlplus(a1, s, t)
-            assert out == {fuse_split_twisted(a1, s, t): 1}
+            expected = TwistedSplit(chi_shift(a1, chi0, s.coords), sign * chi_eval(a1, chi0, s.coords))
+            assert out == {expected: 1}
 
     @pytest.mark.parametrize("name", ["a1", "a2"])
     def test_candidate_scan_matches_full_scan(self, name):

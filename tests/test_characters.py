@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permorb import (
-    NonIntegralPairing,
-    NotInDual,
-    NotInLattice,
+from permorb.characters import (
     all_characters,
     chi_eval,
     chi_of_lambda,
@@ -16,10 +13,10 @@ from permorb import (
     format_character,
     pi_pairing,
     split_gauge_sign,
-    vector,
     weight_parity_sign,
 )
-from permorb.lattice import vec_add
+from permorb.errors import NonIntegralPairing, NotInDual, NotInLattice
+from permorb.lattice import vec_add, vector
 
 from conftest import get_lattice
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permorb
-from permorb import NotInDual, ParseError, PermorbError, enumerate_modules
+from permorb import enumerate_modules
 from permorb.cli import load_gram, parse_label, run
-from permorb.errors import DegeneratePair
+from permorb.errors import DegeneratePair, NotInDual, ParseError, PermorbError
 from permorb.render import format_label
 
 from conftest import GRAMS, get_lattice
@@ -108,6 +108,17 @@ class TestLoadGram:
         path.write_text(json.dumps({"gram": [[2.0]]}))
         with pytest.raises(ParseError):
             load_gram(str(path))
+
+    def test_rejected_entry_repr_is_cut(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("small.json").write_text(json.dumps({"gram": [[[0, 1]]]}))
+        Path("big.json").write_text(json.dumps({"gram": [[[0] * 200_000]]}))
+        assert run(["decompose", "small.json", "D(0;0)"]) == 2
+        assert capsys.readouterr().err == "error: small.json: Gram entries must be integers, got [0, 1]\n"
+        assert run(["decompose", "big.json", "D(0;0)"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: big.json: ") and err.endswith("0,...\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
 
     @pytest.mark.parametrize(
         "data", [b"\xff\xfe{\x00}\x00", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-array"]
@@ -208,6 +219,19 @@ class TestRun:
         assert run(["modules", str(odd)]) == 2
         assert run(["fuse", gram_file("a1"), "D(0;0)", "bogus"]) == 2
         assert run(["fuse", gram_file("a1"), "D(0;0)", "N(1,0)"]) == 2
+
+    @pytest.mark.parametrize("sub, attr", [("table", "fusion_table"), ("verify", "verify")])
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError(), "MemoryError"), (MemoryError("Unable to allocate 21.8 GiB"), "Unable to allocate 21.8 GiB")],
+    )
+    def test_out_of_memory_exits_two(self, sub, attr, exc, message, capsys, gram_file, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"permorb.cli.{attr}", exhausted)
+        assert run([sub, gram_file("a1")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0

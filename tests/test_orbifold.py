@@ -7,16 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from permorb import (
+from permorb.base import Split, TwistedSplit, nonsplit_label, split_label, vl_label
+from permorb.characters import chi_of_lambda, split_gauge_sign, weight_parity_sign
+from permorb.errors import DegeneratePair, PermorbError, TableTooLarge
+from permorb.lattice import inner, validate_lattice, vec_add, vec_sub, vector
+from permorb.orbifold import (
     Diag,
     NonDiag,
-    PermorbError,
-    QSqrt,
-    Split,
-    TableTooLarge,
     Twisted,
-    TwistedSplit,
-    chi_of_lambda,
     decompose_module,
     diag,
     dual_orbifold,
@@ -25,22 +23,12 @@ from permorb import (
     fusion_table,
     glob,
     induce,
-    inner,
-    is_simple_current,
     label_sort_key,
     nondiag,
-    nonsplit_label,
-    qdim_orbifold,
-    split_gauge_sign,
-    split_label,
+    qdims_by_kind,
     twisted,
-    validate_lattice,
-    vector,
-    vl_label,
-    weight_parity_sign,
 )
-from permorb.errors import DegeneratePair
-from permorb.lattice import vec_add, vec_sub
+from permorb.qsqrt import QSqrt
 from permorb.verify import (
     check_associativity,
     check_commutativity,
@@ -221,9 +209,10 @@ class TestInduce:
 
 class TestQdims:
     def test_values(self, a1):
-        assert qdim_orbifold(a1, D(a1, [0], 0)) == QSqrt.of(1, 2)
-        assert qdim_orbifold(a1, nondiag(a1, vector([0]), vector([F(1, 2)]))) == QSqrt.of(2, 2)
-        assert qdim_orbifold(a1, T(a1, [0], 0)) == QSqrt.sqrt_rad(2)
+        qdim = qdims_by_kind(a1)
+        assert qdim[type(D(a1, [0], 0))] == QSqrt.of(1, 2)
+        assert qdim[type(nondiag(a1, vector([0]), vector([F(1, 2)])))] == QSqrt.of(2, 2)
+        assert qdim[type(T(a1, [0], 0))] == QSqrt.sqrt_rad(2)
 
     def test_glob_values(self):
         assert glob(get_lattice("a1")) == QSqrt.of(16, 2)
@@ -231,10 +220,11 @@ class TestQdims:
         assert glob(get_lattice("a2")) == QSqrt.of(36, 3)
 
     def test_simple_currents(self, a1, e8):
-        assert is_simple_current(a1, D(a1, [F(1, 2)], 1))
-        assert not is_simple_current(a1, nondiag(a1, vector([0]), vector([F(1, 2)])))
-        assert not is_simple_current(a1, T(a1, [0], 0))
-        assert is_simple_current(e8, T(e8, [0] * 8, 0))
+        one = lambda lat, m: qdims_by_kind(lat)[type(m)] == QSqrt.of(1, lat.det)
+        assert one(a1, D(a1, [F(1, 2)], 1))
+        assert not one(a1, nondiag(a1, vector([0]), vector([F(1, 2)])))
+        assert not one(a1, T(a1, [0], 0))
+        assert one(e8, T(e8, [0] * 8, 0))
 
 
 class TestDuals:
@@ -296,13 +286,14 @@ class TestFuseExamples:
             assert fuse_orbifold(a1, unit, m) == {m: 1}
 
     def test_qdim_budget_on_examples(self, a1):
+        qdim = qdims_by_kind(a1)
         for a in enumerate_modules(a1):
             for b in enumerate_modules(a1):
                 out = fuse_orbifold(a1, a, b)
                 total = QSqrt.of(0, 2)
                 for c, mult in out.items():
-                    total = total + QSqrt.of(mult, 2) * qdim_orbifold(a1, c)
-                assert total == qdim_orbifold(a1, a) * qdim_orbifold(a1, b)
+                    total = total + QSqrt.of(mult, 2) * qdim[type(c)]
+                assert total == qdim[type(a)] * qdim[type(b)]
 
 
 class TestFusionTable:
@@ -319,7 +310,7 @@ class TestFusionTable:
         table = fusion_table(a1)
         unit = D(a1, [0], 0)
         for m in table.labels:
-            assert table.multiplicity(unit, m, m) == 1
+            assert table.tensor[table.index[unit], table.index[m], table.index[m]] == 1
 
 
 class TestVerify:
