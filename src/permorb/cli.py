@@ -6,14 +6,14 @@ Subcommands::
     permorb qdims     gram.json [--json]
     permorb fuse      gram.json LABEL LABEL [--json]
     permorb decompose gram.json LABEL [--json]
-    permorb table     gram.json [--json|--csv] [--max-l N]
-    permorb verify    gram.json [--json] [--max-l N]
+    permorb table     gram.json [--json|--csv]
+    permorb verify    gram.json [--json]
 
 The Gram matrix is read from a JSON document ``{"gram": [[...]]}``.  Labels
 use the compact grammar ``D(coords;eps) | N(coords,coords) | T(coords;eps)``
 with rational coordinates like ``1/2``.  Exit codes: 0 on success (and on a
 fully passing verification), 1 when a verification check fails, 2 on any
-input error and when memory runs out.
+input error (a tripped size guard included) and when memory runs out.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .orbifold import (
     qdims_by_kind,
     twisted,
 )
-from .render import format_label, label_json, vl_json, vlplus_json
+from .render import format_label, format_qdim, label_json, vl_json, vlplus_json
 from .verify import verify
 
 __all__ = ["parse_label", "load_gram", "run", "main"]
@@ -139,7 +139,7 @@ def _cmd_modules(args) -> int:
 
 def _cmd_qdims(args) -> int:
     lat = load_gram(args.gram)
-    text = {kind: str(q) for kind, q in qdims_by_kind(lat).items()}
+    text = {kind: format_qdim(q, lat.det) for kind, q in qdims_by_kind(lat).items()}
     rows = [(format_label(m), text[type(m)]) for m in enumerate_modules(lat)]
     if args.json:
         _print_json({"det": lat.det, "qdims": [{"label": lab, "qdim": q} for lab, q in rows]})
@@ -189,7 +189,7 @@ def _table_rows(table, names: Sequence[str]):
 
 def _cmd_table(args) -> int:
     lat = load_gram(args.gram)
-    table = fusion_table(lat, max_l=args.max_l)
+    table = fusion_table(lat)
     names = [format_label(m) for m in table.labels]
     rows = _table_rows(table, names)
     if args.csv:
@@ -211,7 +211,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     lat = load_gram(args.gram)
-    report = verify(lat, max_l=args.max_l)
+    report = verify(lat)
     if args.json:
         checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results]
         _print_json({"all_passed": report.all_passed, "checks": checks})
@@ -257,12 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="full fusion table")
     common(p)
     p.add_argument("--csv", action="store_true", help="CSV rows a,b,c,multiplicity")
-    p.add_argument("--max-l", type=int, default=64, help="guard on the discriminant order")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run the fusion-ring verification suite")
     common(p)
-    p.add_argument("--max-l", type=int, default=64, help="guard on the discriminant order")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -50,4 +50,4 @@ class ParseError(PermorbError):
 
 
 class TableTooLarge(PermorbError):
-    """Discriminant group exceeds the configured table guard."""
+    """The fusion table or the verify sweep would need more than the memory limit."""

@@ -28,6 +28,7 @@ them, so the outcome is representative-free.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -48,7 +49,6 @@ from .base import (
 from .characters import chi_of_lambda, chi_of_pairings, gauge_sign, split_gauge_sign, weight_parity
 from .errors import DegeneratePair, TableTooLarge
 from .lattice import GramLattice, Modulus, Vector, canonicalize, vec_neg, vector
-from .qsqrt import QSqrt
 
 __all__ = [
     "Diag",
@@ -68,7 +68,10 @@ __all__ = [
     "FusionTable",
     "fusion_table",
     "label_sort_key",
+    "guard_memory",
 ]
+
+MEMORY_LIMIT = 4 * 2**30  # bytes
 
 
 @dataclass(frozen=True)
@@ -224,20 +227,23 @@ _QDIM = {
 }
 
 
-def qdims_by_kind(lat: GramLattice) -> Dict[type, QSqrt]:
-    """The quantum dimension shared by every label of each kind: 1 for
-    ``Diag`` and ``Split``, 2 for ``NonDiag`` and ``NonSplit``, and
-    ``sqrt(l)`` for ``Twisted`` and ``TwistedSplit``."""
-    return {kind: QSqrt(a, b, lat.det) for kind, (a, b) in _QDIM.items()}
+def qdims_by_kind(lat: GramLattice) -> Dict[type, Tuple[int, int]]:
+    """The quantum dimension ``a + b*sqrt(l)`` of each label kind as the pair
+    ``(a, b)``: 1 for ``Diag``/``Split``, 2 for ``NonDiag``/``NonSplit`` and
+    ``sqrt(l)`` for ``Twisted``/``TwistedSplit``, folded into ``a`` when ``l``
+    is a perfect square so that equal dimensions are equal pairs."""
+    r = math.isqrt(lat.det)
+    return {kind: (a + b * r, 0) if r * r == lat.det else (a, b) for kind, (a, b) in _QDIM.items()}
 
 
-def glob(lat: GramLattice) -> QSqrt:
-    """Global dimension: the sum of squared quantum dimensions."""
+def glob(lat: GramLattice) -> Tuple[int, int]:
+    """Global dimension, the sum of squared quantum dimensions, as a pair."""
     q = qdims_by_kind(lat)
-    total = QSqrt.of(0, lat.det)
-    for kind, count in Counter(type(m) for m in enumerate_modules(lat)).items():
-        total = total + count * q[kind] * q[kind]
-    return total
+    counts = Counter(type(m) for m in enumerate_modules(lat)).items()
+    return (
+        sum(count * (q[k][0] ** 2 + lat.det * q[k][1] ** 2) for k, count in counts),
+        sum(count * 2 * q[k][0] * q[k][1] for k, count in counts),
+    )
 
 
 def dual_orbifold(lat: GramLattice, m: OrbifoldLabel) -> OrbifoldLabel:
@@ -300,12 +306,20 @@ class FusionTable:
         self.tensor = tensor
 
 
-def fusion_table(lat: GramLattice, max_l: int = 64) -> FusionTable:
-    """Assemble the complete fusion tensor; guarded by the discriminant size."""
-    if lat.det > max_l:
-        raise TableTooLarge(
-            f"discriminant group has order {lat.det}, above the guard {max_l}"
-        )
+def guard_memory(lat: GramLattice, cube_bytes: int, what: str) -> None:
+    """Raise ``TableTooLarge`` when ``what`` needs about ``cube_bytes * n**3``
+    bytes, above ``MEMORY_LIMIT``; ``n = (l^2 + 7l)/2`` is known from ``l``."""
+    l = lat.det
+    n = (l * l + 7 * l) // 2
+    need = cube_bytes * n**3
+    if need > MEMORY_LIMIT:
+        limit = f"above the limit of {MEMORY_LIMIT / 2**30:g} GiB"
+        raise TableTooLarge(f"{what} for l = {l} (n = {n} labels) needs about {need / 2**30:.1f} GiB, {limit}")
+
+
+def fusion_table(lat: GramLattice) -> FusionTable:
+    """Assemble the complete fusion tensor of ``n**3`` int16 entries."""
+    guard_memory(lat, 2, "the fusion table")
     labels = enumerate_modules(lat)
     keys = [label_sort_key(lat, m) for m in labels]
     index = {k: i for i, k in enumerate(keys)}

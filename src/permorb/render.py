@@ -11,12 +11,14 @@ canonical labels, and identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from .base import NonSplit, Split, VlLabel, VlPlusLabel
 from .characters import format_character
 from .lattice import Vector, format_vector
 from .orbifold import Diag, NonDiag, OrbifoldLabel
 
-__all__ = ["format_label", "label_json", "vlplus_json", "vl_json"]
+__all__ = ["format_label", "format_qdim", "label_json", "vlplus_json", "vl_json"]
 
 
 def format_label(m: OrbifoldLabel) -> str:
@@ -25,6 +27,16 @@ def format_label(m: OrbifoldLabel) -> str:
     if isinstance(m, NonDiag):
         return f"N({format_vector(m.lam)},{format_vector(m.mu)})"
     return f"T({format_vector(m.lam)};{m.eps})"
+
+
+def format_qdim(q: Tuple[int, int], l: int) -> str:
+    """The text of ``a + b*sqrt(l)`` for ``q = (a, b)``: ``a``, ``sqrt(l)``,
+    ``b*sqrt(l)``, ``a+sqrt(l)`` or ``a+b*sqrt(l)``, with ``l`` never simplified."""
+    a, b = q
+    if b == 0:
+        return str(a)
+    root = f"sqrt({l})" if b == 1 else f"{b}*sqrt({l})"
+    return root if a == 0 else f"{a}+{root}"
 
 
 def _coords_json(x: Vector):

@@ -31,12 +31,12 @@ from .orbifold import (
     enumerate_modules,
     fusion_table,
     glob,
+    guard_memory,
     induce,
     label_sort_key,
     qdims_by_kind,
 )
-from .qsqrt import QSqrt
-from .render import format_label
+from .render import format_label, format_qdim
 
 __all__ = ["CheckResult", "Report", "verify", "run_checks"]
 
@@ -140,10 +140,8 @@ def check_associativity(table: FusionTable) -> CheckResult:
 
 def check_qdim_homomorphism(table: FusionTable) -> CheckResult:
     lat = table.lattice
-    # qdims as integer (rational, sqrt(l)) parts; QSqrt already folds sqrt(l)
-    # into the rational part when l is a perfect square
-    parts = {kind: (int(q.a), int(q.b)) for kind, q in qdims_by_kind(lat).items()}
-    qx, qy = np.array([parts[type(m)] for m in table.labels], dtype=np.int64).T
+    q = qdims_by_kind(lat)
+    qx, qy = np.array([q[type(m)] for m in table.labels], dtype=np.int64).T
     t = table.tensor.astype(np.int64)
     # sums of products of qdims, kept as pairs (rational, sqrt(l)) parts
     sum_x = t @ qx
@@ -158,9 +156,17 @@ def check_qdim_homomorphism(table: FusionTable) -> CheckResult:
     )
 
 
+def _at_least_one(q: Tuple[int, int], l: int) -> bool:
+    """Whether ``a + b*sqrt(l) >= 1`` for ``q = (a, b)``, decided in integers."""
+    x, y = q[0] - 1, q[1]  # the sign of x + y*sqrt(l)
+    if (x >= 0) == (y >= 0):
+        return x >= 0
+    return x * x >= l * y * y if x >= 0 else l * y * y >= x * x
+
+
 def check_qdim_lower_bound(table: FusionTable) -> CheckResult:
-    one = QSqrt.of(1, table.lattice.det)
-    low = {kind for kind, q in qdims_by_kind(table.lattice).items() if not q >= one}
+    l = table.lattice.det
+    low = {kind for kind, q in qdims_by_kind(table.lattice).items() if not _at_least_one(q, l)}
     for m in table.labels:
         if type(m) in low:
             return CheckResult("qdim_lower_bound", False, f"{format_label(m)} has qdim < 1")
@@ -187,24 +193,21 @@ def check_dual_antiautomorphism(table: FusionTable) -> CheckResult:
 
 
 def check_glob(table: FusionTable) -> CheckResult:
-    lat = table.lattice
-    expected = QSqrt.of(4 * lat.det * lat.det, lat.det)
-    got = glob(lat)
-    return CheckResult(
-        "glob_identity", got == expected, "" if got == expected else f"glob = {got}, expected {expected}"
-    )
+    l = table.lattice.det
+    got = glob(table.lattice)
+    ok = got == (4 * l * l, 0)
+    return CheckResult("glob_identity", ok, "" if ok else f"glob = {format_qdim(got, l)}, expected {4 * l * l}")
 
 
 def check_decomposition_qdims(table: FusionTable) -> CheckResult:
     lat = table.lattice
     q = qdims_by_kind(lat)
-    zero = QSqrt.of(0, lat.det)
     for m in table.labels:
-        total = sum((q[type(part)] for _vl, part in decompose_module(lat, m)), zero)
-        if total != 2**lat.dim * q[type(m)]:
-            return CheckResult(
-                "decomposition_qdims", False, f"{format_label(m)} decomposes with qdim sum {total}"
-            )
+        parts = [q[type(part)] for _vl, part in decompose_module(lat, m)]
+        total = (sum(a for a, _b in parts), sum(b for _a, b in parts))
+        if total != tuple(2**lat.dim * c for c in q[type(m)]):
+            detail = f"{format_label(m)} decomposes with qdim sum {format_qdim(total, lat.det)}"
+            return CheckResult("decomposition_qdims", False, detail)
     return CheckResult("decomposition_qdims", True)
 
 
@@ -314,6 +317,7 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
     ]
 
 
-def verify(lat: GramLattice, max_l: int = 64) -> Report:
+def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    return Report(lat, run_checks(fusion_table(lat, max_l=max_l)))
+    guard_memory(lat, 36, "verify")  # the associativity sweep holds several float64 cubes
+    return Report(lat, run_checks(fusion_table(lat)))

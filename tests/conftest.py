@@ -53,6 +53,18 @@ BASE_SUITE_NAMES = ["a1", "a1sq", "a2", "scaled4"]
 _CACHE = {}
 
 
+def qdim_mul(p, q, l):
+    """The product of two quantum dimensions ``a + b*sqrt(l)`` given as
+    pairs ``(a, b)``."""
+    return (p[0] * q[0] + l * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def qdim_of_sum(qdims, counts):
+    """The quantum dimension of a direct sum, as a pair: ``counts`` maps
+    each label to its multiplicity and ``qdims`` is ``qdims_by_kind``."""
+    return tuple(sum(n * qdims[type(c)][i] for c, n in counts.items()) for i in (0, 1))
+
+
 def get_lattice(name):
     if name not in _CACHE:
         _CACHE[name] = validate_lattice(GRAMS[name][0])

@@ -16,7 +16,8 @@ When the upper bounds meet the budget the product is certified; otherwise
 from permorb.base import fusion_rule_vlplus, vl_label
 from permorb.lattice import vec_add
 from permorb.orbifold import decompose_module, enumerate_modules, qdims_by_kind
-from permorb.qsqrt import QSqrt
+
+from conftest import qdim_mul, qdim_of_sum
 
 
 class OracleInconclusive(Exception):
@@ -57,8 +58,7 @@ def oracle_fuse(lat, a, b, labels=None, decomps=None):
         if m:
             bounds[c] = m
     qdim = qdims_by_kind(lat)
-    total = sum((mult * qdim[type(c)] for c, mult in bounds.items()), QSqrt.of(0, lat.det))
-    if total == qdim[type(a)] * qdim[type(b)]:
+    if qdim_of_sum(qdim, bounds) == qdim_mul(qdim[type(a)], qdim[type(b)], lat.det):
         return bounds
     raise OracleInconclusive(f"cannot certify {a} x {b}: bounds {bounds}")
 

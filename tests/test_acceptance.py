@@ -4,6 +4,7 @@ All comparisons are exact; the only tolerances here are the stated wall
 clock budgets.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import math
 import time
 from fractions import Fraction as F
 
@@ -24,7 +25,6 @@ from permorb.orbifold import (
     qdims_by_kind,
     twisted,
 )
-from permorb.qsqrt import QSqrt
 from permorb.render import format_label
 from permorb.verify import (
     check_associativity,
@@ -68,15 +68,17 @@ def test_criterion_2_quantum_dimensions():
         lat = get_lattice(name)
         l = lat.det
         qdim = qdims_by_kind(lat)
+        r = math.isqrt(l)
+        root = (r, 0) if r * r == l else (0, 1)
         for m in enumerate_modules(lat):
             q = qdim[type(m)]
             if isinstance(m, Diag):
-                assert q == QSqrt.of(1, l)
+                assert q == (1, 0)
             elif isinstance(m, NonDiag):
-                assert q == QSqrt.of(2, l)
+                assert q == (2, 0)
             else:
-                assert q == QSqrt.sqrt_rad(l)
-        assert glob(lat) == QSqrt.of(4 * l * l, l)
+                assert q == root
+        assert glob(lat) == (4 * l * l, 0)
     print("\nPASS criterion 2: qdims are exactly 1, 2, sqrt(l) and glob = 4*l^2 on every lattice")
 
 
@@ -177,7 +179,7 @@ def test_criterion_9_e8_edge_case():
     mods = enumerate_modules(lat)
     assert len(mods) == 4
     qdim = qdims_by_kind(lat)
-    assert all(qdim[type(m)] == QSqrt.of(1, lat.det) for m in mods)
+    assert all(qdim[type(m)] == (1, 0) for m in mods)
     table = table_of("e8")
     unit = Diag(vector([0] * 8), 0)
     # group ring of order 4: unique unit-multiplicity product everywhere

@@ -198,8 +198,24 @@ class TestRun:
         assert len(doc["labels"]) == 9
         assert len(doc["products"]) == 81
 
-    def test_table_guard_exit_code(self, capsys, gram_file):
-        assert run(["table", gram_file("a1"), "--max-l", "1"]) == 2
+    def test_table_guard_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "z64.json"
+        path.write_text(json.dumps({"gram": [[64]]}))
+        assert run(["table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: the fusion table for l = 64 (n = 2272 labels)")
+
+    def test_verify_guard_before_table(self, capsys, tmp_path, monkeypatch):
+        # l = 32: the table alone would fit, the associativity sweep would not
+        def no_table(lat):
+            raise AssertionError("fusion_table called")
+
+        monkeypatch.setattr(permorb.verify, "fusion_table", no_table)
+        path = tmp_path / "z32.json"
+        path.write_text(json.dumps({"gram": [[32]]}))
+        assert run(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: verify for l = 32 (n = 624 labels) needs about 8.1 GiB, above the limit of 4 GiB\n"
+        )
 
     def test_verify_pass(self, capsys, gram_file):
         assert run(["verify", gram_file("e8")]) == 0

@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,25 +23,27 @@ from permorb.orbifold import (
     fuse_orbifold,
     fusion_table,
     glob,
+    guard_memory,
     induce,
     label_sort_key,
     nondiag,
     qdims_by_kind,
     twisted,
 )
-from permorb.qsqrt import QSqrt
 from permorb.verify import (
     check_associativity,
     check_commutativity,
     check_decomposition_qdims,
     check_duality_pairing,
+    check_glob,
     check_identity,
     check_multiplicities,
     check_qdim_homomorphism,
+    check_qdim_lower_bound,
     verify,
 )
 
-from conftest import RING_AXIOM_NAMES, get_lattice
+from conftest import RING_AXIOM_NAMES, get_lattice, qdim_mul, qdim_of_sum
 
 
 def D(lat, coords, eps):
@@ -210,17 +213,17 @@ class TestInduce:
 class TestQdims:
     def test_values(self, a1):
         qdim = qdims_by_kind(a1)
-        assert qdim[type(D(a1, [0], 0))] == QSqrt.of(1, 2)
-        assert qdim[type(nondiag(a1, vector([0]), vector([F(1, 2)])))] == QSqrt.of(2, 2)
-        assert qdim[type(T(a1, [0], 0))] == QSqrt.sqrt_rad(2)
+        assert qdim[type(D(a1, [0], 0))] == (1, 0)
+        assert qdim[type(nondiag(a1, vector([0]), vector([F(1, 2)])))] == (2, 0)
+        assert qdim[type(T(a1, [0], 0))] == (0, 1)
 
     def test_glob_values(self):
-        assert glob(get_lattice("a1")) == QSqrt.of(16, 2)
-        assert glob(get_lattice("e8")) == QSqrt.of(4, 1)
-        assert glob(get_lattice("a2")) == QSqrt.of(36, 3)
+        assert glob(get_lattice("a1")) == (16, 0)
+        assert glob(get_lattice("e8")) == (4, 0)
+        assert glob(get_lattice("a2")) == (36, 0)
 
     def test_simple_currents(self, a1, e8):
-        one = lambda lat, m: qdims_by_kind(lat)[type(m)] == QSqrt.of(1, lat.det)
+        one = lambda lat, m: qdims_by_kind(lat)[type(m)] == (1, 0)
         assert one(a1, D(a1, [F(1, 2)], 1))
         assert not one(a1, nondiag(a1, vector([0]), vector([F(1, 2)])))
         assert not one(a1, T(a1, [0], 0))
@@ -290,16 +293,22 @@ class TestFuseExamples:
         for a in enumerate_modules(a1):
             for b in enumerate_modules(a1):
                 out = fuse_orbifold(a1, a, b)
-                total = QSqrt.of(0, 2)
-                for c, mult in out.items():
-                    total = total + QSqrt.of(mult, 2) * qdim[type(c)]
-                assert total == qdim[type(a)] * qdim[type(b)]
+                assert qdim_of_sum(qdim, out) == qdim_mul(qdim[type(a)], qdim[type(b)], 2)
 
 
 class TestFusionTable:
-    def test_guard(self, a1):
-        with pytest.raises(TableTooLarge):
-            fusion_table(a1, max_l=1)
+    def test_guard(self):
+        # l = 64 has n = 2272 labels, an int16 cube of 21.8 GiB
+        with pytest.raises(TableTooLarge, match=r"l = 64 \(n = 2272 labels\) needs about 21\.8 GiB"):
+            fusion_table(validate_lattice([[64]]))
+
+    @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (36, 28)])
+    def test_guard_cutoffs(self, cube_bytes, last_l):
+        # the guard reads l alone: the table (2 n^3 bytes) fits up to l = 47,
+        # the verify sweep (36 n^3 bytes) up to l = 28
+        guard_memory(SimpleNamespace(det=last_l), cube_bytes, "this")
+        with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
+            guard_memory(SimpleNamespace(det=last_l + 1), cube_bytes, "this")
 
     def test_tensor_shape_and_symmetry(self, a1):
         table = fusion_table(a1)
@@ -371,3 +380,48 @@ class TestVerify:
         )
         res = check_decomposition_qdims(fusion_table(a1))
         assert not res.passed and res.detail.startswith("D(0;0) ")
+
+    @pytest.mark.parametrize(
+        "corrupt,total",
+        [
+            # a Split part in place of a TwistedSplit one: the mixed sum 1 + sqrt(2)
+            (lambda parts: [(parts[0][0], Split(parts[0][0].coords, 1))] + parts[1:], "1+sqrt(2)"),
+            # one TwistedSplit part lost: only the sqrt(2) coefficient is wrong
+            (lambda parts: parts[1:], "sqrt(2)"),
+        ],
+    )
+    def test_twisted_constituents_checked(self, a1, monkeypatch, corrupt, total):
+        def decompose(lat, m):
+            parts = decompose_module(lat, m)
+            return corrupt(parts) if isinstance(m, Twisted) else parts
+
+        monkeypatch.setattr(importlib.import_module("permorb.verify"), "decompose_module", decompose)
+        res = check_decomposition_qdims(fusion_table(a1))
+        assert not res.passed and res.detail == f"T(0;0) decomposes with qdim sum {total}"
+
+    @pytest.mark.parametrize("kind,first", [(NonDiag, "N(0,1/2)"), (Twisted, "T(0;0)")])
+    def test_qdim_below_one_caught(self, a1, monkeypatch, kind, first):
+        monkeypatch.setattr(
+            importlib.import_module("permorb.verify"),
+            "qdims_by_kind",
+            lambda lat: {**qdims_by_kind(lat), kind: (0, 0)},
+        )
+        res = check_qdim_lower_bound(fusion_table(a1))
+        assert not res.passed and res.detail == f"{first} has qdim < 1"
+
+    @pytest.mark.parametrize(
+        "q,ok", [((-1, 1), False), ((2, -1), False), ((3, -1), True), ((1, 0), True), ((0, 1), True)]
+    )
+    def test_qdim_lower_bound_is_exact(self, a1, monkeypatch, q, ok):
+        # l = 2: -1 + sqrt(2) and 2 - sqrt(2) are below 1, 3 - sqrt(2) is not
+        monkeypatch.setattr(
+            importlib.import_module("permorb.verify"),
+            "qdims_by_kind",
+            lambda lat: {**qdims_by_kind(lat), NonDiag: q},
+        )
+        assert check_qdim_lower_bound(fusion_table(a1)).passed == ok
+
+    def test_wrong_glob_caught(self, a1, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("permorb.verify"), "glob", lambda lat: (15, 1))
+        res = check_glob(fusion_table(a1))
+        assert not res.passed and res.detail == "glob = 15+sqrt(2), expected 16"

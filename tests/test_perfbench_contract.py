@@ -56,3 +56,18 @@ def test_micro_spans_run(tmp_path):
     layers.micro(tr, gen.LatticeGen("a2", GRAMS["a2"][0]), str(path), random.Random(1))
     assert tr.per_call_us("orbifold.induce") is not None
     assert tr.per_call_us("characters.weight_parity_sign") is not None
+
+
+def test_qdims_output_passes_the_query_checker(tmp_path, capsys):
+    # l = 1, 3, 7, 4 and 64: both perfect squares fold sqrt(l) into an integer
+    names = ("e8", "a2", "odd7", "d4", "a1x6")
+    gens = {name: gen.LatticeGen(name, gen.QUERY_LATTICES[name]) for name in names}
+    grams = {}
+    for name in names:
+        grams[name] = str(tmp_path / f"{name}.json")
+        Path(grams[name]).write_text(json.dumps({"gram": gen.QUERY_LATTICES[name]}))
+    checker = checks.QueryChecker(grams, {k: g.det for k, g in gens.items()}, {k: g.dim for k, g in gens.items()})
+    for name in names:
+        rc = cli.run(["qdims", grams[name]])
+        out, err = capsys.readouterr()
+        assert checker.check(name, ("qdims",), rc, out, err) is None
