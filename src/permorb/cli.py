@@ -37,6 +37,9 @@ from .orbifold import (
     enumerate_modules,
     fuse_orbifold,
     fusion_table,
+    guard_memory,
+    label_count,
+    labels_size,
     nondiag,
     qdims_by_kind,
     twisted,
@@ -51,6 +54,18 @@ _LABEL_RE = re.compile(r"^\s*([DNT])\(([^()]*)\)\s*$")
 _EXPONENT_RE = re.compile(r"[\d.][eE][-+]?\d")
 # longest repr of a rejected Gram entry that an error line quotes in full
 _MAX_REPR = 60
+# peak bytes per printed item, a + b*d at rank d, by command and --json;
+# measured as peak RSS above the import baseline with CPython 3.11: labels on
+# [[1000]] and diag(2)^8, constituents on diag(2)^d for d = 8, 12 and 16,
+# taking the largest of the three label kinds
+_ITEM_BYTES = {
+    ("modules", False): (210, 10),
+    ("modules", True): (1700, 300),
+    ("qdims", False): (250, 10),
+    ("qdims", True): (1000, 0),
+    ("decompose", False): (1700, 250),
+    ("decompose", True): (3400, 300),
+}
 
 
 def load_gram(path: str) -> GramLattice:
@@ -74,6 +89,14 @@ def load_gram(path: str) -> GramLattice:
     return validate_lattice(gram)
 
 
+def _reject_empty_items(text: str) -> None:
+    """Raise ``ParseError`` when a comma- or semicolon-separated item of
+    ``text`` is blank.  Called after the count, exponent and rational checks,
+    so a label with another syntax error keeps that error's message."""
+    if not all(p.strip() for p in text.replace(";", ",").split(",")):
+        raise ParseError(f"empty coordinate item in '{text}'")
+
+
 def _parse_coords(text: str, dim: int) -> Vector:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != dim:
@@ -81,9 +104,11 @@ def _parse_coords(text: str, dim: int) -> Vector:
     if _EXPONENT_RE.search(text):
         raise ParseError(f"exponent notation is not accepted in '{text}'")
     try:
-        return tuple(Fraction(p.strip()) for p in parts)
+        x = tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational in '{text}': {exc}") from None
+    _reject_empty_items(text)
+    return x
 
 
 def parse_label(lat: GramLattice, text: str) -> OrbifoldLabel:
@@ -93,14 +118,14 @@ def parse_label(lat: GramLattice, text: str) -> OrbifoldLabel:
         raise ParseError(f"label '{text}' does not match D(..;e) | N(..,..) | T(..;e)")
     kind, body = m.group(1), m.group(2)
     if kind == "N":
-        body = body.replace(";", ",")
-        parts = [p for p in body.split(",") if p.strip()]
+        parts = [p for p in body.replace(";", ",").split(",") if p.strip()]
         if len(parts) != 2 * lat.dim:
             raise ParseError(
                 f"off-diagonal label needs {2 * lat.dim} coordinates, got {len(parts)}"
             )
         x = _parse_coords(",".join(parts[: lat.dim]), lat.dim)
         y = _parse_coords(",".join(parts[lat.dim :]), lat.dim)
+        _reject_empty_items(body)
         return nondiag(lat, x, y)
     if ";" not in body:
         raise ParseError(f"label '{text}' is missing the ';eps' part")
@@ -110,6 +135,18 @@ def parse_label(lat: GramLattice, text: str) -> OrbifoldLabel:
     eps = int(eps_text)
     x = _parse_coords(coords_text, lat.dim)
     return diag(lat, x, eps) if kind == "D" else twisted(lat, x, eps)
+
+
+def _guard_output(lat: GramLattice, args) -> None:
+    """Refuse a listing of the n labels, or a decomposition into 2^d
+    constituents, whose output would not fit in memory."""
+    a, b = _ITEM_BYTES[args.command, args.json]
+    what = f"{args.command} --json" if args.json else args.command
+    if args.command == "decompose":
+        count, size = 2**lat.dim, f"d = {lat.dim} ({2**lat.dim} constituents)"
+    else:
+        count, size = label_count(lat), labels_size(lat)
+    guard_memory(what, size, count * (a + b * lat.dim))
 
 
 def _print_json(doc: dict) -> None:
@@ -122,6 +159,7 @@ def _print_lines(lines: Iterable[str]) -> None:
 
 def _cmd_modules(args) -> int:
     lat = load_gram(args.gram)
+    _guard_output(lat, args)
     mods = enumerate_modules(lat)
     if args.json:
         _print_json(
@@ -139,6 +177,7 @@ def _cmd_modules(args) -> int:
 
 def _cmd_qdims(args) -> int:
     lat = load_gram(args.gram)
+    _guard_output(lat, args)
     text = {kind: format_qdim(q, lat.det) for kind, q in qdims_by_kind(lat).items()}
     rows = [(format_label(m), text[type(m)]) for m in enumerate_modules(lat)]
     if args.json:
@@ -168,6 +207,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_decompose(args) -> int:
     lat = load_gram(args.gram)
+    _guard_output(lat, args)
     m = parse_label(lat, args.label)
     summands = [{"vl": vl_json(v), "vlplus": vlplus_json(p)} for v, p in decompose_module(lat, m)]
     if args.json:

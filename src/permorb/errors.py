@@ -50,4 +50,6 @@ class ParseError(PermorbError):
 
 
 class TableTooLarge(PermorbError):
-    """The fusion table or the verify sweep would need more than the memory limit."""
+    """The fusion table, the verify sweep, a module or qdim listing, or a
+    decomposition would need more than the memory limit, estimated from the
+    input size before any of the work is done."""

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import add, mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -84,37 +84,9 @@ def format_vector(x: Vector) -> str:
     return ",".join(str(c) for c in x)
 
 
-def _identity(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _mat_mul(a, b):
     n, m, k = len(a), len(b[0]), len(b)
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def _det_bareiss(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,94 +101,47 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMa
     the next.  Works entirely over the integers with arbitrary precision.
     """
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise DimensionMismatch("Smith normal form expects a square matrix")
-    d = [[int(x) for x in row] for row in matrix]
-    u = _identity(n)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        for j in range(n):
-            d[dst][j] += q * d[src][j]
-            u[dst][j] += q * u[src][j]
-
-    def add_col(src, dst, q):
-        # col_dst += q * col_src
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        for j in range(n):
-            d[i][j] = -d[i][j]
-            u[i][j] = -u[i][j]
-
+    if any(len(row) != n for row in matrix):
+        raise DimensionMismatch("Smith normal form expects a square matrix")
+    # rows [D | U] over rows [V | 0]: an operation on the top rows updates D
+    # and U together, one on the left columns updates D and V together
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    m += [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
     for t in range(n):
         while True:
-            # move a nonzero entry of smallest magnitude to the pivot slot
-            pivot = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    a = abs(d[i][j])
-                    if a != 0 and (best is None or a < best):
-                        best = a
-                        pivot = (i, j)
-            if pivot is None:
+            # move a nonzero entry of smallest magnitude, the first in
+            # row-major order, to the pivot slot
+            nonzero = [(abs(m[i][j]), i, j) for i in range(t, n) for j in range(t, n) if m[i][j]]
+            if not nonzero:
                 break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
+            _, pi, pj = min(nonzero)
+            m[t], m[pi] = m[pi], m[t]
             if pj != t:
-                swap_cols(t, pj)
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
-            dirty = False
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+            if m[t][t] < 0:
+                m[t] = [-a for a in m[t]]
+            p = m[t][t]
             for i in range(t + 1, n):
-                q = d[i][t] // p
+                q = m[i][t] // p
                 if q:
-                    add_row(t, i, -q)
-                if d[i][t]:
-                    dirty = True
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
             for j in range(t + 1, n):
-                q = d[t][j] // p
+                q = m[t][j] // p
                 if q:
-                    add_col(t, j, -q)
-                if d[t][j]:
-                    dirty = True
-            if dirty:
+                    for row in m:
+                        row[j] -= q * row[t]
+            if any(m[i][t] or m[t][i] for i in range(t + 1, n)):
                 continue
             # pivot must divide every remaining entry for the chain d_i | d_{i+1}
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if d[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, n) for j in range(t + 1, n) if m[i][j] % p), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-
+            m[t] = [a + b for a, b in zip(m[t], m[offender])]
     return (
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in d),
-        tuple(tuple(row) for row in v),
+        tuple(tuple(row[n:]) for row in m[:n]),
+        tuple(tuple(row[:n]) for row in m[:n]),
+        tuple(tuple(row[:n]) for row in m[n:]),
     )
 
 
@@ -255,10 +180,16 @@ class GramLattice:
         for i in range(d):
             if gram[i][i] % 2:
                 raise NotEven(f"diagonal entry ({i},{i}) = {gram[i][i]} is odd")
-        for k in range(1, d + 1):
-            minor = _det_bareiss([row[:k] for row in gram[:k]])
-            if minor <= 0:
-                raise NotPositiveDefinite(f"leading {k}x{k} minor is {minor}")
+        # fraction-free elimination without pivoting: while every earlier
+        # pivot is positive, the pivot a[k][k] is the leading (k+1)x(k+1) minor
+        a, prev = [list(row) for row in gram], 1
+        for k in range(d):
+            if a[k][k] <= 0:
+                raise NotPositiveDefinite(f"leading {k + 1}x{k + 1} minor is {a[k][k]}")
+            for i in range(k + 1, d):
+                for j in range(k + 1, d):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
         self.dim: int = d
         self.gram: IntMatrix = gram
         u, dd, v = smith_normal_form(gram)

@@ -69,6 +69,8 @@ __all__ = [
     "fusion_table",
     "label_sort_key",
     "guard_memory",
+    "label_count",
+    "labels_size",
 ]
 
 MEMORY_LIMIT = 4 * 2**30  # bytes
@@ -306,20 +308,28 @@ class FusionTable:
         self.tensor = tensor
 
 
-def guard_memory(lat: GramLattice, cube_bytes: int, what: str) -> None:
-    """Raise ``TableTooLarge`` when ``what`` needs about ``cube_bytes * n**3``
-    bytes, above ``MEMORY_LIMIT``; ``n = (l^2 + 7l)/2`` is known from ``l``."""
-    l = lat.det
-    n = (l * l + 7 * l) // 2
-    need = cube_bytes * n**3
+def label_count(lat: GramLattice) -> int:
+    """The number ``n = (l^2 + 7l)/2`` of labels, known from ``l`` alone."""
+    return (lat.det**2 + 7 * lat.det) // 2
+
+
+def labels_size(lat: GramLattice) -> str:
+    """How a guard message names the size of the label list."""
+    return f"l = {lat.det} (n = {label_count(lat)} labels)"
+
+
+def guard_memory(what: str, size: str, need: int) -> None:
+    """Raise ``TableTooLarge`` when ``what`` needs about ``need`` bytes, above
+    ``MEMORY_LIMIT``.  The estimate is made from the input ``size`` alone,
+    before any of the work is done."""
     if need > MEMORY_LIMIT:
         limit = f"above the limit of {MEMORY_LIMIT / 2**30:g} GiB"
-        raise TableTooLarge(f"{what} for l = {l} (n = {n} labels) needs about {need / 2**30:.1f} GiB, {limit}")
+        raise TableTooLarge(f"{what} for {size} needs about {need / 2**30:.1f} GiB, {limit}")
 
 
 def fusion_table(lat: GramLattice) -> FusionTable:
     """Assemble the complete fusion tensor of ``n**3`` int16 entries."""
-    guard_memory(lat, 2, "the fusion table")
+    guard_memory("the fusion table", labels_size(lat), 2 * label_count(lat) ** 3)
     labels = enumerate_modules(lat)
     keys = [label_sort_key(lat, m) for m in labels]
     index = {k: i for i, k in enumerate(keys)}

@@ -33,7 +33,9 @@ from .orbifold import (
     glob,
     guard_memory,
     induce,
+    label_count,
     label_sort_key,
+    labels_size,
     qdims_by_kind,
 )
 from .render import format_label, format_qdim
@@ -319,5 +321,6 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
 
 def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    guard_memory(lat, 36, "verify")  # the associativity sweep holds several float64 cubes
+    # the associativity sweep holds several float64 cubes
+    guard_memory("verify", labels_size(lat), 36 * label_count(lat) ** 3)
     return Report(lat, run_checks(fusion_table(lat)))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import permorb
 from permorb import enumerate_modules
-from permorb.cli import load_gram, parse_label, run
-from permorb.errors import DegeneratePair, NotInDual, ParseError, PermorbError
+from permorb.cli import _guard_output, load_gram, parse_label, run
+from permorb.errors import DegeneratePair, NotInDual, ParseError, PermorbError, TableTooLarge
 from permorb.render import format_label
 
 from conftest import GRAMS, get_lattice
@@ -48,7 +49,7 @@ class TestParseLabel:
         with pytest.raises(NotInDual):
             parse_label(a1, "D(1/3;0)")
 
-    def test_syntax_errors(self, a1):
+    def test_syntax_errors(self, a1, a2):
         for bad in (
             "X(0;0)",
             "D(0)",
@@ -57,9 +58,23 @@ class TestParseLabel:
             "D(0;0) extra",
             "D(1/0;0)",
             "D(1e1000000;0)",
+            "D(,1/2;0)",
+            "D(1/2,;0)",
+            "D(1/2,,,,;0)",
+            "D(1/2, ;0)",
+            "N(,1/2,0)",
+            "N(1/2;,0)",
         ):
             with pytest.raises(ParseError):
                 parse_label(a1, bad)
+        # an empty item must not count as a coordinate, nor be skipped
+        for bad in ("T(,,0,0;1)", "D(0,,1/3;0)", "N(0,0;1/3,,1/3)"):
+            with pytest.raises(ParseError, match="empty coordinate item"):
+                parse_label(a2, bad)
+
+    def test_empty_coordinate_item_exits_two(self, gram_file, capsys):
+        assert run(["decompose", gram_file("a1"), "D(1/2,;0)"]) == 2
+        assert capsys.readouterr() == ("", "error: empty coordinate item in '1/2,'\n")
 
     @pytest.mark.parametrize("name", ["a1", "a2", "odd7"])
     def test_round_trip_all_labels(self, name):
@@ -216,6 +231,58 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: verify for l = 32 (n = 624 labels) needs about 8.1 GiB, above the limit of 4 GiB\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, gram, attr, message",
+        [
+            (
+                ["modules", "--json"],
+                [[3000]],
+                "enumerate_modules",
+                "modules --json for l = 3000 (n = 4510500 labels) needs about 8.4 GiB",
+            ),
+            (
+                ["decompose", "D(" + ",".join(["0"] * 24) + ";0)"],
+                [[2 * (i == j) for j in range(24)] for i in range(24)],
+                "decompose_module",
+                "decompose for d = 24 (16777216 constituents) needs about 120.3 GiB",
+            ),
+        ],
+        ids=["modules-z3000", "decompose-a1^24"],
+    )
+    def test_output_guard_before_work(self, argv, gram, attr, message, capsys, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError(f"{attr} called")
+
+        monkeypatch.setattr(f"permorb.cli.{attr}", no_work)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"gram": gram}))
+        assert run([argv[0], str(path)] + argv[1:]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}, above the limit of 4 GiB\n")
+
+    @pytest.mark.parametrize(
+        "command, as_json, last",
+        [
+            ("modules", False, 6245),
+            ("modules", True, 2068),
+            ("qdims", False, 5744),
+            ("qdims", True, 2927),
+            ("decompose", False, 19),
+            ("decompose", True, 18),
+        ],
+    )
+    def test_output_guard_cutoffs(self, command, as_json, last):
+        # stand-ins with the two attributes the guard reads: a listing is
+        # sized by l at rank 1, a decomposition by the rank d of diag(2)^d
+        def lattice(size):
+            if command == "decompose":
+                return SimpleNamespace(det=2**size, dim=size)
+            return SimpleNamespace(det=size, dim=1)
+
+        args = SimpleNamespace(command=command, json=as_json)
+        _guard_output(lattice(last), args)
+        with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
+            _guard_output(lattice(last + 1), args)
 
     def test_verify_pass(self, capsys, gram_file):
         assert run(["verify", gram_file("e8")]) == 0

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction as F
 from operator import mul
 
@@ -74,6 +76,21 @@ class TestValidate:
         with pytest.raises(NotPositiveDefinite):
             validate_lattice([])
 
+    @pytest.mark.parametrize(
+        "gram,message",
+        [
+            ([[0]], "leading 1x1 minor is 0"),
+            ([[-2]], "leading 1x1 minor is -2"),
+            ([[2, 3], [3, 2]], "leading 2x2 minor is -5"),
+            ([[2, 2], [2, 2]], "leading 2x2 minor is 0"),
+            ([[2, 1, 0], [1, 2, 2], [0, 2, 2]], "leading 3x3 minor is -2"),
+        ],
+    )
+    def test_first_non_positive_minor_message(self, gram, message):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            validate_lattice(gram)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("name", GRAMS)
     def test_expected_determinants(self, name):
         gram, expected_det = GRAMS[name]
@@ -97,7 +114,50 @@ class TestRandomGram:
         assert lat.det == det(gram) == len(lat.dual_mod_lattice)
 
 
+def smith_batch():
+    """A seeded batch of 2,000 square matrices of sizes 1-7: even indices
+    general with entries in [-12, 12], odd indices symmetric with even
+    diagonal, and every fifth one made singular."""
+    rng = random.Random(20260918)
+    out = []
+    for i in range(2000):
+        n = rng.randint(1, 7)
+        if i % 2:
+            a = [[0] * n for _ in range(n)]
+            for r in range(n):
+                a[r][r] = 2 * rng.randint(-6, 6)
+                for c in range(r + 1, n):
+                    a[r][c] = a[c][r] = rng.randint(-12, 12)
+        else:
+            a = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        if i % 5 == 0 and n > 1:
+            a[-1] = [x + y for x, y in zip(a[0], a[1])] if n > 2 else [0] * n
+        out.append(a)
+    return out
+
+
 class TestSmithNormalForm:
+    # U and V fix every canonical representative and the label order, so
+    # the exact transforms are pinned, not only U A V = D
+    def test_transforms_pinned_on_seeded_batch(self):
+        h = hashlib.sha256()
+        for a in smith_batch():
+            h.update(repr(smith_normal_form(a)).encode())
+        assert h.hexdigest() == "7f1dae2eb82e869a13e2192fd7a1efd507097f66858cac4ce37e8fc82d7d1f56"
+
+    def test_transforms_pinned_l180(self):
+        u, d, v = smith_normal_form([[4, 1, 0], [1, 6, 1], [0, 1, 8]])
+        assert u == ((1, 0, 0), (-6, 1, 0), (47, -8, 1))
+        assert d == ((1, 0, 0), (0, 1, 0), (0, 0, 180))
+        assert v == ((0, 0, 1), (1, 0, -4), (0, 1, 23))
+
+    def test_transforms_pinned_divisibility_fix(self):
+        # 2 does not divide 3, so the pivot row takes the offending row once
+        u, d, v = smith_normal_form([[2, 0], [0, 3]])
+        assert u == ((1, 1), (3, 2))
+        assert d == ((1, 0), (0, 6))
+        assert v == ((-1, 3), (1, -2))
+
     def test_identity(self):
         u, d, v = smith_normal_form([[1, 0], [0, 1]])
         assert d == ((1, 0), (0, 1))

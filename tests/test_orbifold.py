@@ -24,6 +24,7 @@ from permorb.orbifold import (
     fusion_table,
     glob,
     guard_memory,
+    label_count,
     induce,
     label_sort_key,
     nondiag,
@@ -304,11 +305,12 @@ class TestFusionTable:
 
     @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (36, 28)])
     def test_guard_cutoffs(self, cube_bytes, last_l):
-        # the guard reads l alone: the table (2 n^3 bytes) fits up to l = 47,
-        # the verify sweep (36 n^3 bytes) up to l = 28
-        guard_memory(SimpleNamespace(det=last_l), cube_bytes, "this")
+        # the estimate reads l alone: the table (2 n^3 bytes) fits up to
+        # l = 47, the verify sweep (36 n^3 bytes) up to l = 28
+        need = lambda l: cube_bytes * label_count(SimpleNamespace(det=l)) ** 3
+        guard_memory("this", "l", need(last_l))
         with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
-            guard_memory(SimpleNamespace(det=last_l + 1), cube_bytes, "this")
+            guard_memory("this", "l", need(last_l + 1))
 
     def test_tensor_shape_and_symmetry(self, a1):
         table = fusion_table(a1)
