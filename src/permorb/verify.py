@@ -1,9 +1,10 @@
 """Machine-checkable verification suite for the orbifold fusion ring.
 
-Every check is exact.  The associativity sweep runs on the dense tensor in
-float64 matrix products: all entries are small non-negative integers, so
-every intermediate value is far below 2**53 and the floating comparison is
-exact integer arithmetic in disguise.
+Every check is exact.  The associativity sweep runs only on the orbit
+representatives of the table's covariant simple currents, in float64 matrix
+products: every entry is an int16, so a sum of n products is an integer below
+n * 2**30, far below 2**53, and the floating comparison is exact integer
+arithmetic in disguise.
 
 Checks return a ``CheckResult`` with a witness string on failure; every
 check takes the fusion table as its argument so that deliberately
@@ -119,24 +120,71 @@ def check_commutativity(table: FusionTable) -> CheckResult:
     )
 
 
+def _covariant(t: np.ndarray, s: np.ndarray) -> bool:
+    """Whether ``N[s a, b, s c] == N[a, s b, s c] == N[a, b, c]`` for all
+    ``a, b, c``: the permutation ``s`` is covariant in both multiplicand
+    slots.  Compared one row ``a`` at a time, so no extra cube is held."""
+    return all(
+        np.array_equal(t[s[a]][:, s], t[a]) and np.array_equal(t[a][s][:, s], t[a]) for a in range(len(t))
+    )
+
+
+def _orbit_representatives(t: np.ndarray) -> np.ndarray:
+    """The smallest label index of each orbit of the group generated by the
+    table's covariant simple currents, in increasing order.
+
+    A simple current ``J`` is a row ``t[J]`` that is a 0/1 permutation
+    matrix, acting as ``x -> J x``.  Its covariance is tested only when it
+    would merge orbits; a current that fails the test is not used.
+    """
+    n = len(t)
+    eye = np.eye(n, dtype=t.dtype)
+    root = list(range(n))  # union-find forest; each root is its orbit's minimum
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for row in t:
+        s = row.argmax(1)
+        if not (np.array_equal(row, eye[s]) and np.array_equal(np.sort(s), np.arange(n))):
+            continue
+        if all(find(x) == find(y) for x, y in enumerate(s)) or not _covariant(t, s):
+            continue
+        for x, y in enumerate(s):
+            x, y = sorted((find(x), find(y)))
+            root[y] = x
+    return np.array([x for x in range(n) if find(x) == x])
+
+
 def check_associativity(table: FusionTable) -> CheckResult:
-    n = len(table.labels)
-    t = table.tensor.astype(np.float64)
-    flat = t.reshape(n, n * n)
-    for a in range(n):
-        # lhs[b,c,d] = sum_e N[a,b,e] N[e,c,d];  rhs[b,c,d] = sum_f N[b,c,f] N[a,f,d]
-        lhs = (t[a] @ flat).reshape(n, n, n)
-        rhs = t.reshape(n * n, n) @ t[a]
-        rhs = rhs.reshape(n, n, n)
+    """``sum_e N[a,b,e] N[e,c,d] == sum_f N[b,c,f] N[a,f,d]`` for all labels,
+    swept with ``a`` and ``b`` over orbit representatives only.
+
+    This is exact: for permutations ``P``, ``Q`` covariant in both slots, both
+    sides at ``(P a, Q b, c, d)`` equal those at ``(a, b, c, Q^-1 P^-1 d)``.
+    So the failing ``a``, and for a fixed ``a`` the failing ``b``, are unions
+    of orbits, and the first witness in label order lies on representatives.
+    """
+    t = table.tensor
+    n = len(t)
+    reps = _orbit_representatives(t)
+    # rhs[b,c,d] = sum_f N[b,c,f] N[a,f,d] for the representatives b
+    t_reps = t[reps].reshape(-1, n).astype(np.float64)
+    for a in reps:
+        # lhs[b,c,d] = sum_e N[a,b,e] N[e,c,d], over the e that a x b reaches
+        row = t[a, reps]
+        es = np.flatnonzero(row.any(0))
+        lhs = row[:, es].astype(np.float64) @ t[es].reshape(len(es), n * n).astype(np.float64)
+        rhs = t_reps @ t[a].astype(np.float64)
+        lhs, rhs = lhs.reshape(-1, n, n), rhs.reshape(-1, n, n)
         if not np.array_equal(lhs, rhs):
-            name_a = format_label(table.labels[a])
-            return _witness(
-                table,
-                "associativity",
-                lhs != rhs,
-                lambda i, s: f"witness ({name_a}, {s[0]}, {s[1]}) -> {s[2]}:"
-                f" {int(lhs[i])} vs {int(rhs[i])}",
-            )
+            i = tuple(np.argwhere(lhs != rhs)[0])
+            s = [format_label(table.labels[x]) for x in (a, reps[i[0]], i[1], i[2])]
+            detail = f"witness ({s[0]}, {s[1]}, {s[2]}) -> {s[3]}: {int(lhs[i])} vs {int(rhs[i])}"
+            return CheckResult("associativity", False, detail)
     return CheckResult("associativity", True)
 
 
@@ -239,16 +287,15 @@ def check_induction_roundtrip(table: FusionTable) -> CheckResult:
     return CheckResult("induction_roundtrip", True)
 
 
-def _literal_nondiag(lat: GramLattice, lam, mu, gam, dlt) -> Optional[Counter]:
+def _literal_nondiag(lam_gam, mu_dlt, mu_gam, lam_dlt) -> Optional[Counter]:
     """Verbatim case split for ``N(lam, mu) x N(gam, dlt)`` in this fixed
-    orientation of both unordered pairs, on Smith numerators.
+    orientation of both unordered pairs, given the four sums of Smith
+    numerators it reads, each reduced mod ``L``.
 
     Returns ``None`` when no case of the stated table covers this
     orientation (its transpose is covered instead).
     """
-    red = lambda x, y: lat.reduce(map(add, x, y))
     nd = lambda x, y: ("N", min(x, y), max(x, y))
-    lam_gam, mu_dlt, mu_gam, lam_dlt = red(lam, gam), red(mu, dlt), red(mu, gam), red(lam, dlt)
     same1, same2 = lam_gam == mu_dlt, mu_gam == lam_dlt
     out: Counter = Counter()
     if same1 and same2:
@@ -271,6 +318,7 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
     """Every NonDiag x NonDiag row of the table against the literal case
     split, in all four orientations of the two pairs."""
     lat = table.lattice
+    red = lambda x, y: lat.reduce(map(add, x, y))
     keys = [label_sort_key(lat, m) for m in table.labels]
     nd = [i for i, k in enumerate(keys) if k[0] == "N"]
     for i in nd:
@@ -279,8 +327,10 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
             _, gam, dlt = keys[j]
             row = table.tensor[i, j]
             unified = Counter({keys[c]: int(row[c]) for c in row.nonzero()[0]})
-            orientations = [(lam, mu, gam, dlt), (mu, lam, gam, dlt), (lam, mu, dlt, gam), (mu, lam, dlt, gam)]
-            literals = [x for x in (_literal_nondiag(lat, *o) for o in orientations) if x is not None]
+            lg, md, mg, ld = red(lam, gam), red(mu, dlt), red(mu, gam), red(lam, dlt)
+            # swapping lam with mu, or gam with dlt, permutes the four sums
+            orientations = [(lg, md, mg, ld), (mg, ld, lg, md), (ld, mg, md, lg), (md, lg, ld, mg)]
+            literals = [x for x in (_literal_nondiag(*o) for o in orientations) if x is not None]
             if literals and all(literal == unified for literal in literals):
                 continue
             names = f"{format_label(table.labels[i])} x {format_label(table.labels[j])}"
@@ -321,6 +371,8 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
 
 def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    # the associativity sweep holds several float64 cubes
-    guard_memory("verify", labels_size(lat), 36 * label_count(lat) ** 3)
+    # peak RSS above the import baseline, measured at l = 16, 20 and 24, is
+    # 10.5-11.1 n^3 bytes: the int16 table and the int64 copy of it that the
+    # qdim check multiplies; 14 n^3 leaves a 25% margin
+    guard_memory("verify", labels_size(lat), 14 * label_count(lat) ** 3)
     return Report(lat, run_checks(fusion_table(lat)))

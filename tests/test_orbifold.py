@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from permorb.errors import DegeneratePair, PermorbError, TableTooLarge
 from permorb.lattice import inner, validate_lattice, vec_add, vec_sub, vector
 from permorb.orbifold import (
     Diag,
+    FusionTable,
     NonDiag,
     Twisted,
     decompose_module,
@@ -31,7 +33,10 @@ from permorb.orbifold import (
     qdims_by_kind,
     twisted,
 )
+from permorb.render import format_label
 from permorb.verify import (
+    CheckResult,
+    _orbit_representatives,
     check_associativity,
     check_commutativity,
     check_decomposition_qdims,
@@ -303,10 +308,10 @@ class TestFusionTable:
         with pytest.raises(TableTooLarge, match=r"l = 64 \(n = 2272 labels\) needs about 21\.8 GiB"):
             fusion_table(validate_lattice([[64]]))
 
-    @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (36, 28)])
+    @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (14, 33)])
     def test_guard_cutoffs(self, cube_bytes, last_l):
         # the estimate reads l alone: the table (2 n^3 bytes) fits up to
-        # l = 47, the verify sweep (36 n^3 bytes) up to l = 28
+        # l = 47, verify (14 n^3 bytes) up to l = 33
         need = lambda l: cube_bytes * label_count(SimpleNamespace(det=l)) ** 3
         guard_memory("this", "l", need(last_l))
         with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
@@ -427,3 +432,107 @@ class TestVerify:
         monkeypatch.setattr(importlib.import_module("permorb.verify"), "glob", lambda lat: (15, 1))
         res = check_glob(fusion_table(a1))
         assert not res.passed and res.detail == "glob = 15+sqrt(2), expected 16"
+
+
+def dense_associativity(table):
+    """The full associativity sweep over every ``a``, kept as the reference
+    for the orbit-representative sweep of ``check_associativity``; returns
+    ``(passed, detail)``."""
+    n = len(table.labels)
+    t = table.tensor.astype(np.float64)
+    flat = t.reshape(n, n * n)
+    for a in range(n):
+        lhs = (t[a] @ flat).reshape(n, n, n)
+        rhs = (t.reshape(n * n, n) @ t[a]).reshape(n, n, n)
+        if not np.array_equal(lhs, rhs):
+            i = tuple(int(x) for x in np.argwhere(lhs != rhs)[0])
+            s = [format_label(table.labels[x]) for x in (a, *i)]
+            return False, f"witness ({s[0]}, {s[1]}, {s[2]}) -> {s[3]}: {int(lhs[i])} vs {int(rhs[i])}"
+    return True, ""
+
+
+def flipped(table, *entries):
+    """A copy of ``table`` with ``N(a, b; c)`` and ``N(b, a; c)`` flipped
+    between 0 and 1 for each ``(a, b, c)`` in ``entries``."""
+    t = table.tensor.copy()
+    for a, b, c in entries:
+        t[a, b, c] = t[b, a, c] = 1 - t[a, b, c]
+    return FusionTable(table.lattice, table.labels, t)
+
+
+EQUIVALENCE_GRAMS = {
+    "z2": [[2]],
+    "z4": [[4]],
+    "z6": [[6]],
+    "z8": [[8]],
+    "a2": [[2, -1], [-1, 2]],
+    "a1sq": [[2, 0], [0, 2]],
+    "l7": [[4, 1], [1, 2]],
+}
+
+
+class TestAssociativityReduction:
+    @pytest.mark.parametrize("name", EQUIVALENCE_GRAMS)
+    def test_matches_full_sweep_on_corrupted_tables(self, name):
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        assert check_associativity(table) == CheckResult("associativity", True)
+        assert dense_associativity(table) == (True, "")
+        n = len(table.labels)
+        rng = random.Random(f"associativity-{name}")
+        for _ in range(40):
+            # one flipped entry, or two unequal entries of one product swapped
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            entries = [(a, b, c)]
+            if rng.random() < 0.5:
+                d = rng.choice(np.flatnonzero(table.tensor[a, b] != table.tensor[a, b, c]))
+                entries.append((a, b, d))
+            corrupted = flipped(table, *entries)
+            res = check_associativity(corrupted)
+            assert (res.passed, res.detail) == dense_associativity(corrupted), entries
+
+    @pytest.mark.parametrize("name", ["a2", "l7"])
+    def test_matches_full_sweep_when_covariant_in_one_slot(self, name):
+        # one entry flipped at (J a, b, J c), or at (a, J b, J c), for every
+        # current J: the table is not commutative and stays covariant in that
+        # slot only
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        n = len(table.labels)
+        currents = [table.tensor[j].argmax(1) for j, m in enumerate(table.labels) if isinstance(m, Diag)]
+        rng = random.Random(f"one-slot-{name}")
+        for case in range(20):
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            t = table.tensor.copy()
+            for s in currents:
+                at = (s[a], b, s[c]) if case % 2 else (a, s[b], s[c])
+                t[at] = 1 - table.tensor[a, b, c]
+            corrupted = FusionTable(table.lattice, table.labels, t)
+            res = check_associativity(corrupted)
+            assert (res.passed, res.detail) == dense_associativity(corrupted), (case, a, b, c)
+
+    @pytest.mark.parametrize(
+        "name,a,c", [("a2", ([0, 0], 1), ([0, 0], 0)), ("scaled4", ([F(3, 4)], 0), ([0], 0))]
+    )
+    def test_non_covariant_currents_rejected(self, name, a, c):
+        # the flip leaves many rows permutation matrices that are no longer
+        # covariant: orbit representatives taken under them miss the failure
+        lat = get_lattice(name)
+        table = fusion_table(lat)
+        i, k = table.index[D(lat, *a)], table.index[D(lat, *c)]
+        corrupted = flipped(table, (i, i, k))
+        passed, detail = dense_associativity(corrupted)
+        assert not passed
+        assert check_associativity(corrupted) == CheckResult("associativity", False, detail)
+
+    def test_sweep_visits_only_representatives(self, a2, monkeypatch):
+        # with the covariance gate forced open, the a2 control above passes:
+        # the sweep trusts the broken currents and skips the failing labels
+        table = fusion_table(a2)
+        i, k = table.index[D(a2, [0, 0], 1)], table.index[D(a2, [0, 0], 0)]
+        corrupted = flipped(table, (i, i, k))
+        monkeypatch.setattr(importlib.import_module("permorb.verify"), "_covariant", lambda t, s: True)
+        assert check_associativity(corrupted).passed
+
+    @pytest.mark.parametrize("gram,count", [([[16]], 11), ([[2, -1], [-1, 2]], 3)])
+    def test_representative_count(self, gram, count):
+        table = fusion_table(validate_lattice(gram))
+        assert len(_orbit_representatives(table.tensor)) == count

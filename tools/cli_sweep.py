@@ -13,7 +13,8 @@ refactor is checked by running the sweep on both and comparing::
 The inputs: every subcommand, in text and ``--json`` (and ``table --csv``),
 on 15 fixed lattices; seeded ``fuse`` for every kind pair and seeded
 ``decompose`` for every kind, on canonical labels and on labels moved by
-lattice vectors; malformed labels; and bad Gram files.  The sweep needs only
+lattice vectors; malformed labels; ``verify`` in text and ``--json`` on two
+l = 16 lattices of rank 1 and 4; and bad Gram files.  The sweep needs only
 the standard library and the ``permorb`` it imports.  It writes its Gram
 files to a temporary directory and runs from there, so every path in argv and
 in an error message is the same on every run.  A count and the elapsed time
@@ -72,6 +73,12 @@ LATTICES = {
     "a1x6": _diag(2, 2, 2, 2, 2, 2),
     "z200": [[200]],
     "z1000": [[1000]],
+}
+
+# lattices with n = 184 labels, run through `verify` only
+VERIFY_LATTICES = {
+    "z16": [[16]],
+    "a1x4": _diag(2, 2, 2, 2),
 }
 
 # file name -> raw contents; "missing.json" is never written
@@ -188,6 +195,12 @@ def invocations(rng):
         for bad in malformed(labels, len(gram)):
             yield ["decompose", path, bad]
             yield ["fuse", path, labels[0], bad]
+    for name, gram in VERIFY_LATTICES.items():
+        path = f"{name}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"gram": gram}, fh)
+        yield ["verify", path]
+        yield ["verify", path, "--json"]
     for name, data in BAD_FILES.items():
         with open(name, "wb") as fh:
             fh.write(data)
