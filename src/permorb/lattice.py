@@ -18,6 +18,12 @@ global Smith order, and every quotient is a plain tuple of canonical
 representatives enumerated in it; ``L/2L`` is also kept as the integer pairs
 ``(V y, D y)`` for ``y`` in ``{0,1}^d`` (``lattice_mod_two_ints``).  The
 bilinear form on numerators is the integer matrix ``smith_gram``.
+
+For array code ``L*/L`` has one numeric form: the ``l x d`` array
+``discriminant`` of reduced numerators in Smith order, whose row number is
+the mixed-radix value ``coset_index`` of the row.  Array methods take
+numerators as rows of an integer array of dtype ``int_dtype``: int64 when
+every integer they form provably fits, Python integers (object) otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -204,6 +212,16 @@ class GramLattice:
         self.smith_gram: IntMatrix = tuple(
             tuple(p * e // (a * b) for p, b in zip(row, divs)) for row, a in zip(vgv, divs)
         )
+        # The dtype of numerator arrays: int64 when every integer formed from
+        # them provably fits, else object (exact Python integers).  Those are
+        # numerators k below 3 d_j in magnitude, the form (k - lam)^T W (k + lam)
+        # of weight_flip, at most 12 sum_ij |W_ij| d_i d_j with every partial
+        # sum below it, and label indices below 4 l^2.
+        quad = 12 * sum(abs(w) * a * b for row, a in zip(self.smith_gram, divs) for w, b in zip(row, divs))
+        self.int_dtype = np.dtype(np.int64 if max(quad, 4 * self.det**2) < 2**62 else object)
+        self.divisors = self.as_rows(divs)
+        self._smith_gram_rows = self.as_rows(self.smith_gram)
+        self._radix = self.as_rows([math.prod(divs[j + 1 :]) for j in range(d)])
 
     def __repr__(self) -> str:
         return f"GramLattice(dim={self.dim}, det={self.det})"
@@ -239,34 +257,49 @@ class GramLattice:
         ints = [c * (e // d) for c, d in zip(self.reduce(k, m), self.elementary_divisors)]
         return tuple(Fraction(sum(map(mul, row, ints)), e) for row in self._v)
 
-    # -- the discriminant form on numerators ---------------------------------
+    # -- L*/L as arrays -------------------------------------------------------
 
-    def halve(self, k: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """Every class ``w`` of ``L*/L`` with ``2w = k (mod L)``, as reduced
-        numerators, one per 2-torsion element; ``None`` when there is none."""
-        w0 = []
-        for c, d in zip(self.reduce(k), self.elementary_divisors):
-            if d % 2:
-                # 2 is invertible mod odd d_j
-                w0.append(c * pow(2, -1, d) % d)
-            elif c % 2:
-                return None
-            else:
-                w0.append(c // 2)
+    def as_rows(self, k: Sequence) -> np.ndarray:
+        """Numerators (a sequence of ``d`` integers, or of such rows) as an
+        array of ``int_dtype``."""
+        return np.asarray(k, dtype=self.int_dtype)
+
+    @cached_property
+    def discriminant(self) -> np.ndarray:
+        """``L*/L`` as the ``l x d`` array of reduced numerators in Smith order;
+        row ``i`` is the class with ``coset_index`` ``i``."""
+        return np.indices(self.elementary_divisors).reshape(self.dim, -1).T.astype(self.int_dtype)
+
+    def coset_index(self, k: np.ndarray) -> np.ndarray:
+        """The mixed-radix value of each row of reduced numerators: its
+        position in ``discriminant`` and in ``dual_mod_lattice``."""
+        return k @ self._radix
+
+    def halve(self, k: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve ``2w = k (mod L)`` for each row ``k`` of numerators: a mask of
+        the rows that have a solution and, for every row, one reduced ``w`` per
+        2-torsion element (meaningless where the mask is false)."""
+        d = self.divisors
+        r = self.as_rows(k) % d
+        odd = r % 2 == 1
+        # 2 is invertible mod odd d_j, where (r + d_j)/2 halves an odd r
+        w0 = (r + d * odd) // 2
         # the Smith coordinate 1/2 is a class of order 2 exactly when d_j is even
-        torsion = [(0,) if d % 2 else (0, d // 2) for d in self.elementary_divisors]
-        return tuple(self.reduce(map(add, w0, t)) for t in product(*torsion))
+        halves = [(0,) if c % 2 else (0, c // 2) for c in self.elementary_divisors]
+        torsion = self.as_rows(list(product(*halves)))
+        return ~(odd & (d % 2 == 0)).any(-1), (w0[..., None, :] + torsion) % d
 
-    def weight_flip(self, k: Sequence[int]) -> int:
-        """The parity (0 or 1) of ``q(x) - q(lam)``, where ``x`` has numerators
-        ``k``, ``lam`` is its canonical representative mod ``L`` and
-        ``q(x) = <x,x>/2``.  It is an integer because ``x - lam`` lies in the
-        even lattice ``L``."""
-        w = self.smith_gram
-        quad = lambda v: sum(a * sum(map(mul, row, v)) for a, row in zip(v, w))
-        diff = quad(k) - quad(self.reduce(k))
+    def weight_flip(self, k: Sequence) -> np.ndarray:
+        """The parity (0 or 1) of ``q(x) - q(lam)`` for each row ``k`` of
+        numerators, where ``x`` has numerators ``k``, ``lam`` is its canonical
+        representative mod ``L`` and ``q(x) = <x,x>/2``.  It is an integer
+        because ``x - lam`` lies in the even lattice ``L``."""
+        k = self.as_rows(k)
+        lam = k % self.divisors
+        # 2e (q(x) - q(lam)) = k^T W k - lam^T W lam, and W is symmetric
+        diff = (((k - lam) @ self._smith_gram_rows) * (k + lam)).sum(-1)
         e2 = 2 * self.elementary_divisors[-1]
-        assert diff % e2 == 0
+        assert not np.any(diff % e2)
         return diff // e2 % 2
 
     # -- membership ---------------------------------------------------------
@@ -337,5 +370,5 @@ def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, ...]]:
     per 2-torsion element), or ``None`` when no solution exists.  Absence of
     a solution is a valid outcome, not an error.
     """
-    solutions = lat.halve(lat.numerators(c))
-    return None if solutions is None else tuple(map(lat.from_numerators, solutions))
+    solvable, solutions = lat.halve(lat.numerators(c))
+    return tuple(lat.from_numerators(tuple(map(int, w))) for w in solutions) if solvable else None

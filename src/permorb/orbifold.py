@@ -23,7 +23,12 @@ associativity already in rank 1.
 The fusion rule itself works on integer keys (``label_sort_key``): a kind
 letter, the Smith numerators of the coset labels and the parity.  Sums of
 coset labels are sums of numerators, and the resolving key rules reduce
-them, so the outcome is representative-free.
+them, so the outcome is representative-free.  The rule (``_fuse``) takes a
+batch of key pairs of one kind pair as numpy arrays of numerators: a coset
+sum is ``(x + y) % d_j`` per column, the parity flip comes from
+``smith_gram``, and the halving solutions and the Twisted x Twisted sweep
+over ``L*/L`` are arrays too.  ``fusion_table`` feeds it every pair of
+labels, one kind pair at a time, and ``fuse_orbifold`` a batch of one.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from operator import mul, sub
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,15 +103,27 @@ OrbifoldLabel = Union[Diag, NonDiag, Twisted]
 Key = Tuple[str, Tuple[int, ...], object]
 
 
+class Keys(NamedTuple):
+    """A batch of label keys of one ``kind``, each for pair number ``at`` of a
+    batch of pairs: the rows ``x`` of reduced numerators and, per key, the
+    parity ``y`` (Diag, Twisted) or the row ``y`` of the second coset
+    (NonDiag)."""
+
+    kind: str
+    at: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
 def diag(lat: GramLattice, x: Vector, eps: int) -> Diag:
     return Diag(canonicalize(lat, x, Modulus.DUAL_MOD_LATTICE), eps % 2)
 
 
 def nondiag(lat: GramLattice, x: Vector, y: Vector) -> NonDiag:
-    keys = _pair(lat, lat.numerators(x), lat.numerators(y))
-    if len(keys) > 1:
+    a, b = lat.reduce(lat.numerators(x)), lat.reduce(lat.numerators(y))
+    if a == b:
         raise DegeneratePair("the two cosets of an off-diagonal label must differ")
-    return _label(lat, keys[0])
+    return NonDiag(lat.from_numerators(min(a, b)), lat.from_numerators(max(a, b)))
 
 
 def twisted(lat: GramLattice, x: Vector, eps: int) -> Twisted:
@@ -115,7 +132,8 @@ def twisted(lat: GramLattice, x: Vector, eps: int) -> Twisted:
     The parity flips when moving ``x`` to its canonical representative
     crosses a translation of odd weight parity; see the module docstring.
     """
-    return _label(lat, _twisted_key(lat, lat.numerators(x), eps))
+    k = lat.numerators(x)
+    return Twisted(lat.from_numerators(k), (eps + int(lat.weight_flip(k))) % 2)
 
 
 def label_sort_key(lat: GramLattice, m: OrbifoldLabel) -> Key:
@@ -135,17 +153,81 @@ def _label(lat: GramLattice, key: Key) -> OrbifoldLabel:
     return (Diag if kind == "D" else Twisted)(lat.from_numerators(k), last)
 
 
-def _pair(lat: GramLattice, x: Sequence[int], y: Sequence[int]) -> List[Key]:
-    """The keys over the coset pair of numerators ``(x, y)``: both Diag
-    labels when the cosets agree, else the one NonDiag label."""
-    a, b = lat.reduce(x), lat.reduce(y)
-    if a == b:
-        return [("D", a, 0), ("D", a, 1)]
-    return [("N", min(a, b), max(a, b))]
+def _key_tuples(batches: Iterable[Keys]) -> List[Key]:
+    """Every key of the batches as a ``label_sort_key`` tuple."""
+    return [
+        (b.kind, tuple(x), tuple(y) if b.kind == "N" else y)
+        for b in batches
+        for x, y in zip(b.x.tolist(), b.y.tolist())
+    ]
 
 
-def _twisted_key(lat: GramLattice, x: Sequence[int], eps: int) -> Key:
-    return ("T", lat.reduce(x), (eps + lat.weight_flip(x)) % 2)
+def _label_index(lat: GramLattice, keys: Keys) -> np.ndarray:
+    """The position of each key in ``enumerate_modules``."""
+    l, x = lat.det, lat.coset_index(keys.x)
+    if keys.kind == "N":
+        # the 2l Diag labels come first, then the cosets u < v row by row
+        c = 2 * l + x * (2 * l - x - 3) // 2 + lat.coset_index(keys.y) - 1
+    else:
+        c = 2 * x + keys.y + (0 if keys.kind == "D" else 2 * l + l * (l - 1) // 2)
+    return c.astype(np.intp)
+
+
+def _pairs(lat: GramLattice, at: np.ndarray, p: np.ndarray, q: np.ndarray) -> List[Keys]:
+    """The keys over each coset pair of numerator rows ``(p, q)``: both Diag
+    labels where the cosets agree, else the one NonDiag label."""
+    p, q = p % lat.divisors, q % lat.divisors
+    ip, iq = lat.coset_index(p), lat.coset_index(q)
+    swap = (ip > iq)[:, None]
+    low, high = np.where(swap, q, p), np.where(swap, p, q)
+    same = ip == iq
+    if not same.any():
+        return [Keys("N", at, low, high)]
+    differ, at_d, x_d = ~same, at[same], p[same]
+    diag_keys = [Keys("D", at_d, x_d, np.full(len(at_d), eps)) for eps in (0, 1)]
+    return [Keys("N", at[differ], low[differ], high[differ])] + diag_keys
+
+
+def _twisted(lat: GramLattice, at: np.ndarray, k: np.ndarray, eps) -> Keys:
+    """The Twisted keys of numerator rows ``k`` with parities ``eps``."""
+    return Keys("T", at, k % lat.divisors, (eps + lat.weight_flip(k)) % 2)
+
+
+def _fuse(lat: GramLattice, kinds: str, xa, ya, xb, yb) -> List[Keys]:
+    """The fusion rule on a batch of key pairs ``(a, b)`` of one kind pair
+    ``kinds``, its letters sorted (``"DD"``, ``"DN"``, ... ``"TT"``), given as
+    the arrays ``x`` and ``y`` of the keys of ``a`` and of ``b``: every key of
+    each product ``a x b``, once per unit of multiplicity."""
+    d = lat.divisors
+    at = np.arange(len(xa))
+    if kinds == "DD":
+        return [Keys("D", at, (xa + xb) % d, (ya + yb) % 2)]
+    if kinds == "DN":
+        return _pairs(lat, at, xa + xb, xa + yb)
+    if kinds == "DT":
+        return [_twisted(lat, at, 2 * xa + xb, ya + yb)]
+    if kinds == "NN":
+        # both ways of pairing the cosets, as one batch of twice the length
+        cat = np.concatenate
+        return _pairs(lat, cat([at, at]), cat([xa + xb, ya + xb]), cat([ya + yb, xa + yb]))
+    if kinds == "NT":
+        # both parities over the coset of s, whatever its weight flip
+        s = (xa + ya + xb) % d
+        return [Keys("T", at, s, np.full(len(at), eps)) for eps in (0, 1)]
+    # TT: a Diag label for each solution of 2w = s (mod L), its parity flipped
+    # by the weight change of moving a's label by the lattice vector s - 2w
+    s = xa + xb
+    solvable, w = lat.halve(s)
+    at_w = np.repeat(at[solvable], w.shape[1])
+    w = w[solvable].reshape(-1, lat.dim)
+    flip = lat.weight_flip(2 * xa[at_w] + xb[at_w] - 2 * w)
+    out = [Keys("D", at_w, w, (ya[at_w] + yb[at_w] + flip) % 2)]
+    # every other delta pairs with s - delta; emit each pair once, from its
+    # smaller member (a solution pairs with itself and is skipped)
+    delta = lat.discriminant
+    other = (s[:, None] - delta) % d
+    at_n, i = np.nonzero(lat.coset_index(other) > np.arange(len(delta)))
+    return out + [Keys("N", at_n, delta[i], other[at_n, i])]
 
 
 def _add(*vs: Sequence[int]) -> Tuple[int, ...]:
@@ -257,44 +339,12 @@ def dual_orbifold(lat: GramLattice, m: OrbifoldLabel) -> OrbifoldLabel:
     return twisted(lat, vec_neg(m.lam), m.eps)
 
 
-def _fuse_keys(lat: GramLattice, a: Key, b: Key) -> List[Key]:
-    """The fusion rule on label keys: every label of ``a x b``, listed once
-    per unit of multiplicity.  Case analysis on the unordered kind pair."""
-    if a[0] > b[0]:
-        a, b = b, a
-    (ka, xa, ya), (kb, xb, yb) = a, b
-    kinds = ka + kb
-    if kinds == "DD":
-        return [("D", lat.reduce(_add(xa, xb)), (ya + yb) % 2)]
-    if kinds == "DN":
-        return _pair(lat, _add(xa, xb), _add(xa, yb))
-    if kinds == "DT":
-        return [_twisted_key(lat, _add(xa, xa, xb), ya + yb)]
-    if kinds == "NN":
-        return _pair(lat, _add(xa, xb), _add(ya, yb)) + _pair(lat, _add(ya, xb), _add(xa, yb))
-    if kinds == "NT":
-        s = _add(xa, ya, xb)
-        return [_twisted_key(lat, s, 0), _twisted_key(lat, s, 1)]
-    # TT: a Diag label for each solution of 2w = s (mod L), its parity flipped
-    # by the weight change of moving a's label by the lattice vector s - 2w
-    s = _add(xa, xb)
-    out: List[Key] = []
-    for w in lat.halve(s) or ():
-        moved = tuple(2 * p + q - 2 * r for p, q, r in zip(xa, xb, w))
-        out.append(("D", w, (ya + yb + lat.weight_flip(moved)) % 2))
-    # every other delta pairs with s - delta; emit each pair once, from its
-    # smaller member (a solution pairs with itself and is skipped)
-    for delta in product(*map(range, lat.elementary_divisors)):
-        other = lat.reduce(tuple(c - t for c, t in zip(s, delta)))
-        if delta < other:
-            out.append(("N", delta, other))
-    return out
-
-
 def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[OrbifoldLabel, int]:
     """Fusion product of two orbifold modules, in the global label order;
-    every multiplicity is 1."""
-    keys = Counter(_fuse_keys(lat, label_sort_key(lat, a), label_sort_key(lat, b)))
+    every multiplicity is 1.  The rule runs on a batch of this one pair."""
+    (ka, xa, ya), (kb, xb, yb) = sorted((label_sort_key(lat, m) for m in (a, b)), key=lambda k: k[0])
+    rows = [lat.as_rows([v]) for v in (xa, ya, xb, yb)]
+    keys = Counter(_key_tuples(_fuse(lat, ka + kb, *rows)))
     return {_label(lat, c): mult for c, mult in sorted(keys.items())}
 
 
@@ -331,12 +381,25 @@ def fusion_table(lat: GramLattice) -> FusionTable:
     """Assemble the complete fusion tensor of ``n**3`` int16 entries."""
     guard_memory("the fusion table", labels_size(lat), 2 * label_count(lat) ** 3)
     labels = enumerate_modules(lat)
-    keys = [label_sort_key(lat, m) for m in labels]
-    index = {k: i for i, k in enumerate(keys)}
-    n = len(labels)
+    n, l, disc = len(labels), lat.det, lat.discriminant
+    u, v = np.triu_indices(l, 1)
+    eps = np.tile([0, 1], l)
+    # the first index and the keys x, y of each kind's labels, in label order
+    blocks = {
+        "D": (0, disc.repeat(2, 0), eps),
+        "N": (2 * l, disc[u], disc[v]),
+        "T": (2 * l + len(u), disc.repeat(2, 0), eps),
+    }
+    cells = []  # the flat tensor index of every emitted (a, b, c) and (b, a, c)
+    for ka, kb in combinations_with_replacement("DNT", 2):
+        (first_a, xa, ya), (first_b, xb, yb) = blocks[ka], blocks[kb]
+        # every pair i <= j of labels of these kinds
+        pa, pb = np.triu_indices(len(xa)) if ka == kb else np.indices((len(xa), len(xb))).reshape(2, -1)
+        for keys in _fuse(lat, ka + kb, xa[pa], ya[pa], xb[pb], yb[pb]):
+            i, j, c = first_a + pa[keys.at], first_b + pb[keys.at], _label_index(lat, keys)
+            cells += [(i * n + j) * n + c, ((j * n + i) * n + c)[i != j]]
+    # count, not set: a label emitted twice shows as a 2
+    cell, count = np.unique(np.concatenate(cells), return_counts=True)
     tensor = np.zeros((n, n, n), dtype=np.int16)
-    for i in range(n):
-        for j in range(i, n):
-            for c, mult in Counter(_fuse_keys(lat, keys[i], keys[j])).items():
-                tensor[i, j, index[c]] = tensor[j, i, index[c]] = mult
+    tensor.reshape(-1)[cell] = count
     return FusionTable(lat, labels, tensor)

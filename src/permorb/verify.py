@@ -4,7 +4,10 @@ Every check is exact.  The associativity sweep runs only on the orbit
 representatives of the table's covariant simple currents, in float64 matrix
 products: every entry is an int16, so a sum of n products is an integer below
 n * 2**30, far below 2**53, and the floating comparison is exact integer
-arithmetic in disguise.
+arithmetic in disguise.  The NonDiag check rebuilds the expected rows of one
+NonDiag label against all NonDiag labels at once from an ``l x l`` coset
+addition table, and the qdim check sums the int16 table per run of one label
+kind in int64; no check copies the whole table to a wider dtype.
 
 Checks return a ``CheckResult`` with a witness string on failure; every
 check takes the fusion table as its argument so that deliberately
@@ -15,8 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .orbifold import (
     guard_memory,
     induce,
     label_count,
-    label_sort_key,
     labels_size,
     qdims_by_kind,
 )
@@ -191,11 +192,16 @@ def check_associativity(table: FusionTable) -> CheckResult:
 def check_qdim_homomorphism(table: FusionTable) -> CheckResult:
     lat = table.lattice
     q = qdims_by_kind(lat)
-    qx, qy = np.array([q[type(m)] for m in table.labels], dtype=np.int64).T
-    t = table.tensor.astype(np.int64)
+    kinds = [type(m) for m in table.labels]
+    qx, qy = np.array([q[k] for k in kinds], dtype=np.int64).T
+    # the labels come in runs of one kind, so each sum of N[a,b,c] qdim(c)
+    # is a sum over runs, counted without a wider copy of the table
+    starts = [c for c, k in enumerate(kinds) if c == 0 or k is not kinds[c - 1]]
+    ends = starts[1:] + [len(kinds)]
+    runs = np.stack([table.tensor[:, :, a:b].sum(2, dtype=np.int64) for a, b in zip(starts, ends)], 2)
     # sums of products of qdims, kept as pairs (rational, sqrt(l)) parts
-    sum_x = t @ qx
-    sum_y = t @ qy
+    sum_x = runs @ qx[starts]
+    sum_y = runs @ qy[starts]
     lhs_x = np.outer(qx, qx) + lat.det * np.outer(qy, qy)
     lhs_y = np.outer(qx, qy) + np.outer(qy, qx)
     return _witness(
@@ -287,60 +293,60 @@ def check_induction_roundtrip(table: FusionTable) -> CheckResult:
     return CheckResult("induction_roundtrip", True)
 
 
-def _literal_nondiag(lam_gam, mu_dlt, mu_gam, lam_dlt) -> Optional[Counter]:
-    """Verbatim case split for ``N(lam, mu) x N(gam, dlt)`` in this fixed
-    orientation of both unordered pairs, given the four sums of Smith
-    numerators it reads, each reduced mod ``L``.
-
-    Returns ``None`` when no case of the stated table covers this
-    orientation (its transpose is covered instead).
-    """
-    nd = lambda x, y: ("N", min(x, y), max(x, y))
-    same1, same2 = lam_gam == mu_dlt, mu_gam == lam_dlt
-    out: Counter = Counter()
-    if same1 and same2:
-        for eps in (0, 1):
-            out[("D", lam_gam, eps)] += 1
-            out[("D", mu_gam, eps)] += 1
-    elif not same1 and same2:
-        out[nd(lam_gam, mu_dlt)] += 1
-        for eps in (0, 1):
-            out[("D", mu_gam, eps)] += 1
-    elif not same1 and not same2:
-        out[nd(lam_gam, mu_dlt)] += 1
-        out[nd(mu_gam, lam_dlt)] += 1
-    else:
-        return None
-    return out
-
-
 def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
     """Every NonDiag x NonDiag row of the table against the literal case
-    split, in all four orientations of the two pairs."""
+    split, in all four orientations of the two pairs.
+
+    For ``N(lam, mu) x N(gam, dlt)`` in one orientation, with the four coset
+    sums ``lg = lam + gam``, ``md = mu + dlt``, ``mg = mu + gam`` and
+    ``ld = lam + dlt``, the stated table reads:
+
+    * ``lg == md`` and ``mg == ld``: ``D(lg; 0) + D(lg; 1) + D(mg; 0) + D(mg; 1)``;
+    * ``lg != md`` and ``mg == ld``: ``N(lg, md) + D(mg; 0) + D(mg; 1)``;
+    * ``lg != md`` and ``mg != ld``: ``N(lg, md) + N(mg, ld)``;
+    * ``lg == md`` and ``mg != ld`` is not covered; its transpose is.
+
+    One row ``N(lam, mu)`` at a time, every ``N(gam, dlt)`` at once: each
+    case is a mask over the ``gam, dlt``, and each covered orientation's
+    expected row must equal the table's.
+    """
     lat = table.lattice
-    red = lambda x, y: lat.reduce(map(add, x, y))
-    keys = [label_sort_key(lat, m) for m in table.labels]
-    nd = [i for i, k in enumerate(keys) if k[0] == "N"]
+    reps = lat.dual_mod_lattice
+    coset = {r: c for c, r in enumerate(reps)}
+    # the table's column of D(c; eps) and of N(u, v) = N(v, u), by coset index
+    d_col = np.array([[table.index[Diag(r, eps)] for eps in (0, 1)] for r in reps])
+    n_col = np.zeros((len(reps), len(reps)), dtype=np.intp)
+    for u, v in zip(*np.triu_indices(len(reps), 1)):
+        n_col[u, v] = n_col[v, u] = table.index[NonDiag(reps[u], reps[v])]
+    disc = lat.discriminant
+    add = lat.coset_index((disc[:, None] + disc) % lat.divisors).astype(np.intp)
+    nd = np.array([i for i, m in enumerate(table.labels) if isinstance(m, NonDiag)], dtype=np.intp)
+    cosets = [[coset[table.labels[j].lam], coset[table.labels[j].mu]] for j in nd]
+    gam, dlt = np.array(cosets, dtype=np.intp).reshape(-1, 2).T
+    n = len(table.labels)
+    offset = np.arange(len(nd)) * n  # of each NonDiag row in a flattened expected block
     for i in nd:
-        _, lam, mu = keys[i]
-        for j in nd:
-            _, gam, dlt = keys[j]
-            row = table.tensor[i, j]
-            unified = Counter({keys[c]: int(row[c]) for c in row.nonzero()[0]})
-            lg, md, mg, ld = red(lam, gam), red(mu, dlt), red(mu, gam), red(lam, dlt)
-            # swapping lam with mu, or gam with dlt, permutes the four sums
-            orientations = [(lg, md, mg, ld), (mg, ld, lg, md), (ld, mg, md, lg), (md, lg, ld, mg)]
-            literals = [x for x in (_literal_nondiag(*o) for o in orientations) if x is not None]
-            if literals and all(literal == unified for literal in literals):
-                continue
-            names = f"{format_label(table.labels[i])} x {format_label(table.labels[j])}"
-            return CheckResult(
-                "nondiag_unified_vs_literal",
-                False,
-                f"{names}: literal case split disagrees with the unified rule"
-                if literals
-                else f"no orientation of {names} is covered",
-            )
+        lam, mu = coset[table.labels[i].lam], coset[table.labels[i].mu]
+        lg, md, mg, ld = add[lam, gam], add[mu, dlt], add[mu, gam], add[lam, dlt]
+        # swapping lam with mu, or gam with dlt, permutes the four sums
+        orientations = [(lg, md, mg, ld), (mg, ld, lg, md), (ld, mg, md, lg), (md, lg, ld, mg)]
+        expected = np.zeros((4, len(nd), n), dtype=table.tensor.dtype)
+        covered, cells = [], []
+        for o, (x, y, z, w) in enumerate(orientations):
+            same1, same2 = x == y, z == w
+            # orientation 2 swaps same1 and same2, so a pair that orientation 1
+            # leaves uncovered is covered there: no pair goes unchecked
+            covered.append(~same1 | same2)
+            terms = [(same1 & same2, d_col[x, 0]), (same1 & same2, d_col[x, 1])]
+            terms += [(same2, d_col[z, 0]), (same2, d_col[z, 1])]
+            terms += [(~same1, n_col[x, y]), (~same1 & ~same2, n_col[z, w])]
+            cells += [o * len(nd) * n + (offset + col)[mask] for mask, col in terms]
+        np.add.at(expected.reshape(-1), np.concatenate(cells), 1)
+        bad = (np.array(covered) & (expected != table.tensor[i, nd]).any(2)).any(0)
+        if bad.any():
+            names = f"{format_label(table.labels[i])} x {format_label(table.labels[nd[bad.argmax()]])}"
+            detail = f"{names}: literal case split disagrees with the unified rule"
+            return CheckResult("nondiag_unified_vs_literal", False, detail)
     return CheckResult("nondiag_unified_vs_literal", True)
 
 
@@ -371,8 +377,9 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
 
 def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    # peak RSS above the import baseline, measured at l = 16, 20 and 24, is
-    # 10.5-11.1 n^3 bytes: the int16 table and the int64 copy of it that the
-    # qdim check multiplies; 14 n^3 leaves a 25% margin
+    # peak RSS above the import baseline, measured at l = 16, 20 and 24, was
+    # 10.5-11.1 n^3 bytes while the qdim check multiplied an int64 copy of the
+    # table; it now sums the int16 table by label kind, and the peak at l = 24
+    # is 5.6 n^3, set by the associativity sweep.  14 n^3 stays until refitted
     guard_memory("verify", labels_size(lat), 14 * label_count(lat) ** 3)
     return Report(lat, run_checks(fusion_table(lat)))

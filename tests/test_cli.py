@@ -186,6 +186,14 @@ class TestRun:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["D(0;1)", "D(1/2;0)"]
 
+    def test_fuse_beyond_int64(self, capsys, tmp_path):
+        # the weight flip of 2 * 1999999999 + 1999999998 squares to about
+        # 3.6e19, past int64, so this lattice runs on exact Python integers
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"gram": [[2000000000]]}))
+        assert run(["fuse", str(path), "D(1999999999/2000000000;0)", "T(1999999998/2000000000;1)"]) == 0
+        assert capsys.readouterr().out == "T(499999999/500000000;1)\n"
+
     def test_fuse_deterministic(self, capsys, gram_file):
         path = gram_file("a1")
         run(["fuse", path, "N(1/2,0)", "N(1/2,0)"])

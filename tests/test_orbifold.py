@@ -44,6 +44,7 @@ from permorb.verify import (
     check_glob,
     check_identity,
     check_multiplicities,
+    check_nondiag_unified_vs_literal,
     check_qdim_homomorphism,
     check_qdim_lower_bound,
     verify,
@@ -329,6 +330,63 @@ class TestFusionTable:
             assert table.tensor[table.index[unit], table.index[m], table.index[m]] == 1
 
 
+@st.composite
+def small_lattices(draw):
+    """Even positive-definite lattices of rank 1 to 3 with l <= 12."""
+    dim = draw(st.integers(1, 3))
+    gram = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        gram[i][i] = 2 * draw(st.integers(1, 6 if dim == 1 else 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-2, 2))
+    try:
+        lat = validate_lattice(gram)
+    except PermorbError:
+        assume(False)
+    assume(lat.det <= 12)
+    return lat
+
+
+class TestBatchedRule:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_table_rows_match_fuse_orbifold(self, data):
+        # the table runs the rule on every pair at once, fuse_orbifold on one
+        lat = data.draw(small_lattices())
+        table = fusion_table(lat)
+        n = len(table.labels)
+        index = st.integers(0, n - 1)
+        for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20)):
+            row = np.zeros(n, dtype=table.tensor.dtype)
+            for c, mult in fuse_orbifold(lat, table.labels[i], table.labels[j]).items():
+                row[table.index[c]] += mult
+            assert np.array_equal(table.tensor[i, j], row), (lat.gram, i, j)
+
+    def test_a_key_emitted_twice_counts_twice(self, a1, monkeypatch):
+        # the table adds up the keys rather than setting each to 1, so a rule
+        # that emits a label twice fails the 0/1 check instead of hiding
+        orbifold = importlib.import_module("permorb.orbifold")
+        rule = orbifold._fuse
+        monkeypatch.setattr(orbifold, "_fuse", lambda *args: rule(*args) * 2)
+        table = fusion_table(a1)
+        assert table.tensor.max() == 2 and not check_multiplicities(table).passed
+        assert set(fuse_orbifold(a1, *table.labels[:2]).values()) == {2}
+
+    @pytest.mark.parametrize(
+        "gram", [[[6]], [[2, -1], [-1, 2]], [[4, 1], [1, 2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]]
+    )
+    def test_python_integers_give_the_same_table(self, gram, monkeypatch):
+        # the dtype is chosen per lattice; the object path must agree with int64
+        int64 = fusion_table(validate_lattice(gram))
+        lat = validate_lattice(gram)
+        monkeypatch.setattr(lat, "int_dtype", np.dtype(object))
+        for name in ("divisors", "_smith_gram_rows", "_radix"):
+            monkeypatch.setattr(lat, name, getattr(lat, name).astype(object))
+        table = fusion_table(lat)
+        assert np.array_equal(table.tensor, int64.tensor)
+        assert check_nondiag_unified_vs_literal(table).passed
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", ["a1", "a2", "e8"])
     def test_all_pass(self, name):
@@ -432,6 +490,48 @@ class TestVerify:
         monkeypatch.setattr(importlib.import_module("permorb.verify"), "glob", lambda lat: (15, 1))
         res = check_glob(fusion_table(a1))
         assert not res.passed and res.detail == "glob = 15+sqrt(2), expected 16"
+
+
+
+def drop_constituent(row, table):
+    row[table.index[D(table.lattice, [F(1, 3)], 1)]] = 0
+
+
+def add_spurious_diag(row, table):
+    row[table.index[D(table.lattice, [F(1, 2)], 0)]] += 1
+
+
+def swap_targets(row, table):
+    # the constituent N(1/6,1/2) trades places with the absent N(0,1/6)
+    lat = table.lattice
+    c = table.index[nondiag(lat, vector([F(1, 6)]), vector([F(1, 2)]))]
+    e = table.index[nondiag(lat, vector([0]), vector([F(1, 6)]))]
+    row[c], row[e] = row[e], row[c]
+
+
+class TestNondiagCheck:
+    """Negative controls: on [[6]], N(1/3,1/2) x N(0,5/6) = D(1/3;0) +
+    D(1/3;1) + N(1/6,1/2), and N(0,5/6) comes first in label order.  The
+    expected details were recorded on the per-pair implementation."""
+
+    @pytest.mark.parametrize("corrupt", [drop_constituent, add_spurious_diag, swap_targets])
+    @pytest.mark.parametrize(
+        "both,names",
+        [(False, "N(1/3,1/2) x N(0,5/6)"), (True, "N(0,5/6) x N(1/3,1/2)")],
+    )
+    def test_corrupted_entry_caught_with_first_witness(self, corrupt, both, names):
+        lat = validate_lattice([[6]])
+        table = fusion_table(lat)
+        a = table.index[nondiag(lat, vector([F(1, 3)]), vector([F(1, 2)]))]
+        b = table.index[nondiag(lat, vector([0]), vector([F(5, 6)]))]
+        for i, j in [(a, b), (b, a)] if both else [(a, b)]:
+            corrupt(table.tensor[i, j], table)
+        res = check_nondiag_unified_vs_literal(table)
+        assert not res.passed
+        assert res.detail == f"{names}: literal case split disagrees with the unified rule"
+
+    def test_intact_table_passes(self):
+        assert check_nondiag_unified_vs_literal(fusion_table(validate_lattice([[6]]))).passed
 
 
 def dense_associativity(table):

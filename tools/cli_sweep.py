@@ -13,8 +13,10 @@ refactor is checked by running the sweep on both and comparing::
 The inputs: every subcommand, in text and ``--json`` (and ``table --csv``),
 on 15 fixed lattices; seeded ``fuse`` for every kind pair and seeded
 ``decompose`` for every kind, on canonical labels and on labels moved by
-lattice vectors; malformed labels; ``verify`` in text and ``--json`` on two
-l = 16 lattices of rank 1 and 4; and bad Gram files.  The sweep needs only
+lattice vectors; malformed labels; seeded ``fuse`` for every kind pair but
+TT on ``[[2000000000]]``, whose parity rule needs integers beyond int64;
+``verify`` in text and ``--json`` on two l = 16 lattices of rank 1 and 4;
+and bad Gram files.  The sweep needs only
 the standard library and the ``permorb`` it imports.  It writes its Gram
 files to a temporary directory and runs from there, so every path in argv and
 in an error message is the same on every run.  A count and the elapsed time
@@ -74,6 +76,11 @@ LATTICES = {
     "z200": [[200]],
     "z1000": [[1000]],
 }
+
+# a lattice whose parity rule outgrows int64 (2 * 1999999999 + 1999999998
+# squares to about 3.6e19); its l = 2e9 labels cannot be listed, so they are
+# drawn directly, and TT is left out because its product has O(l) labels
+BIG_LATTICES = {"z2e9": [[2000000000]]}
 
 # lattices with n = 184 labels, run through `verify` only
 VERIFY_LATTICES = {
@@ -167,6 +174,18 @@ def malformed(labels, dim):
     ]
 
 
+def big_label(rng, kind, det):
+    """A random canonical label of the rank-1 lattice ``[[det]]``, its cosets
+    drawn from the whole range or from the top of it."""
+    draw = lambda: rng.choice([rng.randrange(det), det - 1 - rng.randrange(8)])
+    if kind == "N":
+        a, b = draw(), draw()
+        while a == b:
+            b = rng.randrange(det)
+        return f"N({Fraction(min(a, b), det)},{Fraction(max(a, b), det)})"
+    return f"{kind}({Fraction(draw(), det)};{rng.randrange(2)})"
+
+
 def invocations(rng):
     """Every argv of the sweep, in order; writes each Gram file first."""
     for name, gram in LATTICES.items():
@@ -195,6 +214,19 @@ def invocations(rng):
         for bad in malformed(labels, len(gram)):
             yield ["decompose", path, bad]
             yield ["fuse", path, labels[0], bad]
+    for name, gram in BIG_LATTICES.items():
+        path = f"{name}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"gram": gram}, fh)
+        for sub in ("modules", "qdims", "table", "verify"):
+            yield [sub, path]
+        yield ["fuse", path, "D(1999999999/2000000000;0)", "T(1999999998/2000000000;1)"]
+        for ka, kb in ("DD", "DN", "DT", "NN", "NT"):
+            for _ in range(FUSE_PER_KIND_PAIR):
+                a, b = big_label(rng, ka, gram[0][0]), big_label(rng, kb, gram[0][0])
+                for pair in ((a, b), (moved(a, rng), moved(b, rng))):
+                    for fmt in ([], ["--json"]):
+                        yield ["fuse", path, *pair] + fmt
     for name, gram in VERIFY_LATTICES.items():
         path = f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
