@@ -276,9 +276,10 @@ class GramLattice:
         return k @ self._radix
 
     def halve(self, k: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve ``2w = k (mod L)`` for each row ``k`` of numerators: a mask of
-        the rows that have a solution and, for every row, one reduced ``w`` per
-        2-torsion element (meaningless where the mask is false)."""
+        """Solve ``2w = k (mod L)`` for each row ``k`` of numerators below
+        ``3 d_j`` in magnitude: a mask of the rows that have a solution and, for
+        every row, one reduced ``w`` per 2-torsion element (meaningless where
+        the mask is false)."""
         d = self.divisors
         r = self.as_rows(k) % d
         odd = r % 2 == 1
@@ -293,7 +294,9 @@ class GramLattice:
         """The parity (0 or 1) of ``q(x) - q(lam)`` for each row ``k`` of
         numerators, where ``x`` has numerators ``k``, ``lam`` is its canonical
         representative mod ``L`` and ``q(x) = <x,x>/2``.  It is an integer
-        because ``x - lam`` lies in the even lattice ``L``."""
+        because ``x - lam`` lies in the even lattice ``L``.  Rows must lie
+        below ``3 d_j`` in magnitude, the range ``int_dtype`` is proven for;
+        the parity depends on ``k`` mod ``2 d_j`` only."""
         k = self.as_rows(k)
         lam = k % self.divisors
         # 2e (q(x) - q(lam)) = k^T W k - lam^T W lam, and W is symmetric
@@ -370,5 +373,5 @@ def halve_mod_L(lat: GramLattice, c: Vector) -> Optional[Tuple[Vector, ...]]:
     per 2-torsion element), or ``None`` when no solution exists.  Absence of
     a solution is a valid outcome, not an error.
     """
-    solvable, solutions = lat.halve(lat.numerators(c))
+    solvable, solutions = lat.halve(lat.reduce(lat.numerators(c)))
     return tuple(lat.from_numerators(tuple(map(int, w))) for w in solutions) if solvable else None

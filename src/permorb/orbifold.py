@@ -132,7 +132,9 @@ def twisted(lat: GramLattice, x: Vector, eps: int) -> Twisted:
     The parity flips when moving ``x`` to its canonical representative
     crosses a translation of odd weight parity; see the module docstring.
     """
-    k = lat.numerators(x)
+    # the flip depends on x mod 2L only, so it is read from numerators reduced
+    # mod 2 d_j, which stay within the bound of ``int_dtype``
+    k = lat.reduce(lat.numerators(x), 2)
     return Twisted(lat.from_numerators(k), (eps + int(lat.weight_flip(k))) % 2)
 
 

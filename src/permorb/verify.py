@@ -334,8 +334,7 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
         covered, cells = [], []
         for o, (x, y, z, w) in enumerate(orientations):
             same1, same2 = x == y, z == w
-            # orientation 2 swaps same1 and same2, so a pair that orientation 1
-            # leaves uncovered is covered there: no pair goes unchecked
+            # orientation 2 swaps same1 and same2, so it covers what orientation 1 does not
             covered.append(~same1 | same2)
             terms = [(same1 & same2, d_col[x, 0]), (same1 & same2, d_col[x, 1])]
             terms += [(same2, d_col[z, 0]), (same2, d_col[z, 1])]

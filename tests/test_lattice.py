@@ -377,6 +377,14 @@ class TestHalving:
             for x in sols:
                 assert lat.in_lattice(vec_sub(vec_add(x, x), c))
 
+    @pytest.mark.parametrize("name", ["a1", "a2", "scaled4", "d4"])
+    def test_far_representative(self, name):
+        # a class named by numerators far beyond int64 halves like its canonical form
+        lat = get_lattice(name)
+        far = vector([10**30 + 7] * lat.dim)
+        for c in lat.dual_mod_lattice:
+            assert halve_mod_L(lat, vec_add(c, far)) == halve_mod_L(lat, c)
+
     def test_odd_discriminant_always_solvable(self):
         lat = get_lattice("odd7")
         for c in lat.dual_mod_lattice:

@@ -103,6 +103,16 @@ class TestConstructors:
         assert T(a1, [1], 0) == Twisted(vector([0]), 1)
         assert T(a1, [F(3, 2)], 0) == Twisted(vector([F(1, 2)]), 0)
 
+    @pytest.mark.parametrize("name", ["a1", "a2", "odd7", "d4"])
+    def test_twisted_resolution_far_from_canonical(self, name):
+        # shifts far beyond int64 resolve by the rational weight parity
+        lat = get_lattice(name)
+        rng = random.Random(7)
+        for rep in lat.dual_mod_lattice:
+            beta = vector(rng.randint(-(10**30), 10**30) for _ in range(lat.dim))
+            flip = 1 if weight_parity_sign(lat, rep, beta) < 0 else 0
+            assert twisted(lat, vec_add(rep, beta), 0) == Twisted(rep, flip)
+
     def test_twisted_resolution_idempotent(self, a1):
         t = T(a1, [F(-5, 2)], 1)
         assert twisted(a1, t.lam, t.eps) == t

@@ -13,7 +13,8 @@ refactor is checked by running the sweep on both and comparing::
 The inputs: every subcommand, in text and ``--json`` (and ``table --csv``),
 on 15 fixed lattices; seeded ``fuse`` for every kind pair and seeded
 ``decompose`` for every kind, on canonical labels and on labels moved by
-lattice vectors; malformed labels; seeded ``fuse`` for every kind pair but
+lattice vectors, and ``fuse`` once per kind pair on labels moved far beyond
+int64; malformed labels; seeded ``fuse`` for every kind pair but
 TT on ``[[2000000000]]``, whose parity rule needs integers beyond int64;
 ``verify`` in text and ``--json`` on two l = 16 lattices of rank 1 and 4;
 and bad Gram files.  The sweep needs only
@@ -41,6 +42,8 @@ from permorb.cli import run
 
 SEED = 20261018
 FUSE_PER_KIND_PAIR = 6
+# how far `moved` shifts a label: a few lattice vectors, or far beyond int64
+NEAR, FAR = 3, 10**20
 DECOMPOSE_PER_KIND = 5
 
 
@@ -129,11 +132,12 @@ def labels_of(path):
     return out.getvalue().split()
 
 
-def moved(label, rng):
-    """``label`` with every coset vector moved by a random lattice vector."""
+def moved(label, rng, reach=NEAR):
+    """``label`` with every coset vector moved by a random lattice vector
+    with coordinates up to ``reach``."""
     kind, body = label[0], label[2:-1]
     coords, sep, eps = (body, "", "") if kind == "N" else body.rpartition(";")
-    shifted = [str(Fraction(c) + rng.randint(-3, 3)) for c in coords.split(",")]
+    shifted = [str(Fraction(c) + rng.randint(-reach, reach)) for c in coords.split(",")]
     return f"{kind}({','.join(shifted)}{sep}{eps})"
 
 
@@ -205,6 +209,8 @@ def invocations(rng):
                     for pair in ((a, b), (moved(a, rng), moved(b, rng))):
                         for fmt in ([], ["--json"]):
                             yield ["fuse", path, *pair] + fmt
+                a, b = rng.choice(by_kind[ka]), rng.choice(by_kind[kb])
+                yield ["fuse", path, moved(a, rng, FAR), moved(b, rng, FAR)]
         for k in kinds:
             for _ in range(DECOMPOSE_PER_KIND):
                 m = rng.choice(by_kind[k])
