@@ -190,11 +190,6 @@ def _pairs(lat: GramLattice, at: np.ndarray, p: np.ndarray, q: np.ndarray) -> Li
     return [Keys("N", at[differ], low[differ], high[differ])] + diag_keys
 
 
-def _twisted(lat: GramLattice, at: np.ndarray, k: np.ndarray, eps) -> Keys:
-    """The Twisted keys of numerator rows ``k`` with parities ``eps``."""
-    return Keys("T", at, k % lat.divisors, (eps + lat.weight_flip(k)) % 2)
-
-
 def _fuse(lat: GramLattice, kinds: str, xa, ya, xb, yb) -> List[Keys]:
     """The fusion rule on a batch of key pairs ``(a, b)`` of one kind pair
     ``kinds``, its letters sorted (``"DD"``, ``"DN"``, ... ``"TT"``), given as
@@ -207,7 +202,8 @@ def _fuse(lat: GramLattice, kinds: str, xa, ya, xb, yb) -> List[Keys]:
     if kinds == "DN":
         return _pairs(lat, at, xa + xb, xa + yb)
     if kinds == "DT":
-        return [_twisted(lat, at, 2 * xa + xb, ya + yb)]
+        k = 2 * xa + xb
+        return [Keys("T", at, k % d, (ya + yb + lat.weight_flip(k)) % 2)]
     if kinds == "NN":
         # both ways of pairing the cosets, as one batch of twice the length
         cat = np.concatenate
