@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -263,6 +264,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache  # built on the first run, not at import; parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permorb",

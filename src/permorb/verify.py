@@ -7,7 +7,8 @@ n * 2**30, far below 2**53, and the floating comparison is exact integer
 arithmetic in disguise.  The NonDiag check rebuilds the expected rows of one
 NonDiag label against all NonDiag labels at once from an ``l x l`` coset
 addition table, and the qdim check sums the int16 table per run of one label
-kind in int64; no check copies the whole table to a wider dtype.
+kind in int64; no check copies the whole table to a wider dtype.  The
+commutativity and dual checks compare the table with itself one row at a time.
 
 Checks return a ``CheckResult`` with a witness string on failure; every
 check takes the fusion table as its argument so that deliberately
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,17 +66,17 @@ class Report:
 def _witness(
     table: FusionTable,
     name: str,
-    mask: np.ndarray,
+    rows: Iterable[np.ndarray],
     detail: Callable[[Tuple[int, ...], Sequence[str]], str],
 ) -> CheckResult:
-    """Pass when ``mask`` has no true entry; otherwise fail with
-    ``detail(idx, names)`` for the first true entry ``idx``, where ``names``
-    are the formatted labels at those indices."""
-    hits = np.argwhere(mask)
-    if len(hits) == 0:
-        return CheckResult(name, True)
-    idx = tuple(int(i) for i in hits[0])
-    return CheckResult(name, False, detail(idx, [format_label(table.labels[i]) for i in idx]))
+    """Pass when no row of ``rows``, a mask array or a generator of its rows,
+    has a true entry; otherwise fail with ``detail(idx, names)`` for the first
+    true entry ``idx`` in index order, ``names`` the labels at those indices."""
+    for a, row in enumerate(rows):
+        if row.any():
+            idx = (a, *(int(i) for i in np.argwhere(row)[0]))
+            return CheckResult(name, False, detail(idx, [format_label(table.labels[i]) for i in idx]))
+    return CheckResult(name, True)
 
 
 def _unit(table: FusionTable) -> int:
@@ -113,10 +114,11 @@ def check_identity(table: FusionTable) -> CheckResult:
 
 
 def check_commutativity(table: FusionTable) -> CheckResult:
+    t = table.tensor
     return _witness(
         table,
         "commutativity",
-        table.tensor != table.tensor.swapaxes(0, 1),
+        (t[a] != t[:, a] for a in range(len(t))),
         lambda i, s: f"{s[0]} x {s[1]} differs from the swapped product at {s[2]}",
     )
 
@@ -239,11 +241,11 @@ def check_duality_pairing(table: FusionTable) -> CheckResult:
 
 
 def check_dual_antiautomorphism(table: FusionTable) -> CheckResult:
-    perm = _dual_perm(table)
+    t, perm = table.tensor, _dual_perm(table)
     return _witness(
         table,
         "dual_antiautomorphism",
-        table.tensor[np.ix_(perm, perm, perm)] != table.tensor,
+        (t[perm[a]][perm][:, perm] != t[a] for a in range(len(t))),
         lambda i, s: f"dual of product differs at ({s[0]}, {s[1]}; {s[2]})",
     )
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -334,6 +335,49 @@ class TestRun:
         first = capsys.readouterr().out
         run(["table", path, "--csv"])
         assert capsys.readouterr().out == first
+
+
+class TestParserReuse:
+    """One process, many ``run`` calls: the parser is built once and shared."""
+
+    def test_no_flag_leaks_into_the_next_call(self, capsys, gram_file):
+        path = gram_file("a1")
+        assert run(["table", path, "--csv"]) == 0
+        assert capsys.readouterr().out.startswith("a,b,c,multiplicity\r\n")
+        assert run(["table", path]) == 0
+        assert capsys.readouterr().out.startswith("D(0;0) x D(0;0) = D(0;0)\n")
+
+    def test_usage_error_twice(self, capsys, gram_file):
+        argv = ["fuse", gram_file("a1"), "D(0;0)"]
+        assert run(argv) == 2
+        first = capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr() == first
+        assert first.out == "" and first.err.startswith("usage: permorb fuse ")
+        assert first.err.endswith("error: the following arguments are required: b\n")
+
+    def test_version_twice_and_help(self, capsys):
+        for _ in range(2):
+            assert run(["--version"]) == 0
+            assert capsys.readouterr() == (f"permorb {permorb.__version__}\n", "")
+        assert run(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: permorb ") and "{modules,qdims,fuse,decompose,table,verify}" in out
+        assert err == ""
+
+    def test_parser_built_once(self, gram_file, monkeypatch):
+        path = gram_file("a1")
+        argvs = [["fuse", path, "D(0;0)", "T(0;1)"], ["modules", path], ["fuse", path, "D(0;0)"], ["--version"]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            run(argvs[0])  # warm-up: the first call of the process may build it
+            built = []
+            init = argparse.ArgumentParser.__init__
+            monkeypatch.setattr(
+                argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
+            )
+            for i in range(20):
+                run(argvs[i % len(argvs)])
+        assert built == []
 
 
 class TestModuleEntryPoint:

@@ -40,6 +40,7 @@ from permorb.verify import (
     check_associativity,
     check_commutativity,
     check_decomposition_qdims,
+    check_dual_antiautomorphism,
     check_duality_pairing,
     check_glob,
     check_identity,
@@ -422,10 +423,29 @@ class TestVerify:
         table.tensor[unit, 1, 1] = 0
         assert not check_identity(table).passed
 
-    def test_corrupted_commutativity_caught(self, a1):
-        table = fusion_table(a1)
-        table.tensor[0, 1, 1] = 0
-        assert not check_commutativity(table).passed
+    def test_corrupted_commutativity_caught(self):
+        # N(T(5/6;0), T(2/3;1); D(1/3;1)) flips, so both orderings disagree;
+        # the first witness in label order is the row of T(2/3;1), not the
+        # corrupted row
+        lat = get_lattice("scaled6")
+        table = fusion_table(lat)
+        i, j, k = (table.index[m] for m in (T(lat, [F(5, 6)], 0), T(lat, [F(2, 3)], 1), D(lat, [F(1, 3)], 1)))
+        table.tensor[i, j, k] = 1 - table.tensor[i, j, k]
+        res = check_commutativity(table)
+        assert (res.passed, res.detail) == (
+            False,
+            "T(2/3;1) x T(5/6;0) differs from the swapped product at D(1/3;1)",
+        )
+
+    def test_corrupted_dual_antiautomorphism_caught(self):
+        # N(T(2/3;1), T(1/6;1); D(1/3;1)) flips; its dual entry has the
+        # earlier row T(1/3;0), which is where the first witness sits
+        lat = get_lattice("scaled6")
+        table = fusion_table(lat)
+        i, j, k = (table.index[m] for m in (T(lat, [F(2, 3)], 1), T(lat, [F(1, 6)], 1), D(lat, [F(1, 3)], 1)))
+        table.tensor[i, j, k] = 1 - table.tensor[i, j, k]
+        res = check_dual_antiautomorphism(table)
+        assert (res.passed, res.detail) == (False, "dual of product differs at (T(1/3;0), T(5/6;1); D(2/3;1))")
 
     def test_doubled_multiplicity_caught(self):
         # scaled4 has l = 4, a perfect square: the doubled row is D x T, whose

@@ -6,8 +6,8 @@ sha256 of stderr and the argv.  Two source trees produce the same printout
 exactly when their command lines behave the same on these inputs, so a
 refactor is checked by running the sweep on both and comparing::
 
-    PYTHONPATH=<old tree>/src python tools/cli_sweep.py > old.txt
-    PYTHONPATH=<new tree>/src python tools/cli_sweep.py > new.txt
+    COLUMNS=80 PYTHONPATH=<old tree>/src python tools/cli_sweep.py > old.txt
+    COLUMNS=80 PYTHONPATH=<new tree>/src python tools/cli_sweep.py > new.txt
     diff old.txt new.txt
 
 The inputs: every subcommand, in text and ``--json`` (and ``table --csv``),
@@ -17,11 +17,14 @@ lattice vectors, and ``fuse`` once per kind pair on labels moved far beyond
 int64; malformed labels; seeded ``fuse`` for every kind pair but
 TT on ``[[2000000000]]``, whose parity rule needs integers beyond int64;
 ``verify`` in text and ``--json`` on two l = 16 lattices of rank 1 and 4;
-and bad Gram files.  The sweep needs only
-the standard library and the ``permorb`` it imports.  It writes its Gram
-files to a temporary directory and runs from there, so every path in argv and
-in an error message is the same on every run.  A count and the elapsed time
-go to stderr.
+bad Gram files; and argparse's own paths (no arguments, an unknown
+subcommand, a missing positional, an unknown flag, ``--help``, ``fuse
+--help`` and ``--version``), about 4,300 invocations in all.  The help text
+wraps at the terminal width, so run both trees with the same ``COLUMNS``.
+The sweep needs only the standard library and the ``permorb`` it imports.
+It writes its Gram files to a temporary directory and runs from there, so
+every path in argv and in an error message is the same on every run.  A
+count and the elapsed time go to stderr.
 """
 
 from __future__ import annotations
@@ -190,8 +193,21 @@ def big_label(rng, kind, det):
     return f"{kind}({Fraction(draw(), det)};{rng.randrange(2)})"
 
 
+# argv that argparse answers itself, before any subcommand runs
+PARSER_PATHS = [
+    [],
+    ["bogus", "a1.json"],
+    ["decompose", "a1.json"],
+    ["modules", "a1.json", "--bogus"],
+    ["--help"],
+    ["fuse", "--help"],
+    ["--version"],
+]
+
+
 def invocations(rng):
     """Every argv of the sweep, in order; writes each Gram file first."""
+    yield from PARSER_PATHS
     for name, gram in LATTICES.items():
         path = f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
