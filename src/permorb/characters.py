@@ -20,7 +20,6 @@ of a lattice vector, which the functions on rational vectors wrap.
 
 from __future__ import annotations
 
-from itertools import product
 from operator import mul
 from typing import Sequence, Tuple
 
@@ -36,7 +35,6 @@ __all__ = [
     "chi_eval",
     "chi_shift",
     "pi_pairing",
-    "all_characters",
     "weight_parity_sign",
     "weight_parity",
     "split_gauge_sign",
@@ -87,11 +85,6 @@ def pi_pairing(lat: GramLattice, lam: Vector, mu: Vector) -> int:
     if t.denominator != 1:
         raise NonIntegralPairing(f"<lam,mu> = {t} is not an integer")
     return _sign(t.numerator)
-
-
-def all_characters(lat: GramLattice) -> Tuple[SignCharacter, ...]:
-    """All ``2^d`` sign characters, plus-signs first."""
-    return tuple(product((1, -1), repeat=lat.dim))
 
 
 def weight_parity(lat: GramLattice, p: Sequence[int], n: Sequence[int]) -> int:

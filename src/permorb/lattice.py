@@ -14,10 +14,11 @@ Smith coordinates ``y = V^-1 x``; ``x`` lies in ``L*`` exactly when ``k`` is
 integral.  Its class in ``L*/L`` (``L*/2L``) is ``k`` reduced mod ``d_j``
 (mod ``2 d_j``), and the canonical representative of a class is ``V y`` for
 the reduced numerators.  Lexicographic order of reduced numerators is the
-global Smith order, and every quotient is a plain tuple of canonical
-representatives enumerated in it; ``L/2L`` is also kept as the integer pairs
-``(V y, D y)`` for ``y`` in ``{0,1}^d`` (``lattice_mod_two_ints``).  The
-bilinear form on numerators is the integer matrix ``smith_gram``.
+global Smith order.  ``L*/L`` is a plain tuple of canonical representatives
+enumerated in it (``dual_mod_lattice``); ``L/2L`` is kept only as the
+integer pairs ``(V y, D y)`` for ``y`` in ``{0,1}^d``
+(``lattice_mod_two_ints``), and ``L*/2L`` is not enumerated.  The bilinear
+form on numerators is the integer matrix ``smith_gram``.
 
 For array code ``L*/L`` has one numeric form: the ``l x d`` array
 ``discriminant`` of reduced numerators in Smith order, whose row number is
@@ -60,8 +61,6 @@ __all__ = [
     "canonicalize",
     "halve_mod_L",
     "vector",
-    "vec_add",
-    "vec_sub",
     "vec_neg",
     "format_vector",
 ]
@@ -74,14 +73,6 @@ __all__ = [
 def vector(coords: Iterable) -> Vector:
     """Coerce an iterable of rationals/ints into an exact coordinate vector."""
     return tuple(Fraction(c) for c in coords)
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def vec_neg(x: Vector) -> Vector:
@@ -310,12 +301,12 @@ class GramLattice:
     def in_lattice(self, x: Vector) -> bool:
         return len(x) == self.dim and all(c.denominator == 1 for c in x)
 
-    # -- quotients, as canonical representatives in lexicographic Smith order
+    # -- quotients, in lexicographic Smith order
 
     @cached_property
     def dual_mod_lattice(self) -> Tuple[Vector, ...]:
         """The discriminant group ``L*/L``, listed in the global sort order."""
-        return self._box([range(d) for d in self.elementary_divisors])
+        return tuple(self.from_numerators(k) for k in product(*map(range, self.elementary_divisors)))
 
     @cached_property
     def lattice_mod_two_ints(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
@@ -325,20 +316,6 @@ class GramLattice:
             (tuple(sum(map(mul, row, y)) for row in self._v), tuple(map(mul, self.elementary_divisors, y)))
             for y in product((0, 1), repeat=self.dim)
         )
-
-    @cached_property
-    def lattice_mod_two(self) -> Tuple[Vector, ...]:
-        return tuple(vector(n) for n, _k in self.lattice_mod_two_ints)
-
-    @cached_property
-    def dual_mod_two_lattice(self) -> Tuple[Vector, ...]:
-        return self._box([range(2 * d) for d in self.elementary_divisors])
-
-    def _box(self, values: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
-        """The representative of every numerator vector in the lexicographic
-        product of the per-coordinate ``values``, each given in increasing
-        order below ``2 d_j``."""
-        return tuple(self.from_numerators(k, 2) for k in product(*values))
 
 
 def validate_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:

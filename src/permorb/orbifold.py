@@ -48,10 +48,10 @@ from .base import (
     TwistedSplit,
     VlLabel,
     VlPlusLabel,
-    fuse_vlplus,
+    fusion_rule_vlplus,
     nonsplit_of_numerators,
 )
-from .characters import chi_of_lambda, chi_of_pairings, gauge_sign, split_gauge_sign, weight_parity
+from .characters import chi_of_lambda, chi_of_pairings, chi_shift, gauge_sign, split_gauge_sign, weight_parity
 from .errors import DegeneratePair, TableTooLarge
 from .lattice import GramLattice, Modulus, Vector, canonicalize, vec_neg, vector
 
@@ -294,7 +294,9 @@ def induce(lat: GramLattice, w: Tuple[VlLabel, VlPlusLabel]) -> Optional[Twisted
     # current with alpha = lam - v (mod 2L), whose numerators are reduce(k) - k
     k = lat.numerators(v.coords)
     alpha = lat.from_numerators(tuple(map(sub, lat.reduce(k), k)), 2)
-    (piece_t,) = fuse_vlplus(lat, Split(alpha, split_gauge_sign(lat, alpha)), t)
+    # a Split x TwistedSplit product lies in the two halves of the shifted character
+    u, chi = Split(alpha, split_gauge_sign(lat, alpha)), chi_shift(lat, t.chi, alpha)
+    (piece_t,) = [c for c in (TwistedSplit(chi, s) for s in (1, -1)) if fusion_rule_vlplus(lat, u, t, c)]
     return Twisted(lat.from_numerators(k), 0 if piece_t.sign > 0 else 1)
 
 

@@ -354,7 +354,10 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
 def check_multiplicities(table: FusionTable) -> CheckResult:
     t = table.tensor
     return _witness(
-        table, "multiplicities_are_01", t > 1, lambda i, s: f"N({s[0]}, {s[1]}; {s[2]}) = {int(t[i])}"
+        table,
+        "multiplicities_are_01",
+        (t[a] > 1 for a in range(len(t))),
+        lambda i, s: f"N({s[0]}, {s[1]}; {s[2]}) = {int(t[i])}",
     )
 
 

@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
 from permorb import validate_lattice
+from permorb.base import Split, TwistedSplit, VlLabel, nonsplit_of_numerators
+from permorb.lattice import Modulus, canonicalize, vector
 
 E8_GRAM = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -63,6 +67,53 @@ def qdim_of_sum(qdims, counts):
     """The quantum dimension of a direct sum, as a pair: ``counts`` maps
     each label to its multiplicity and ``qdims`` is ``qdims_by_kind``."""
     return tuple(sum(n * qdims[type(c)][i] for c, n in counts.items()) for i in (0, 1))
+
+
+# Vectors, quotients and building-block labels for tests, built from the
+# integer forms the package keeps (``lattice_mod_two_ints``,
+# ``from_numerators(k, 2)``, ``nonsplit_of_numerators``, ``canonicalize``).
+
+
+def vec_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vec_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def lattice_mod_two(lat):
+    """``L/2L`` as canonical representatives, in Smith order."""
+    return [vector(n) for n, _k in lat.lattice_mod_two_ints]
+
+
+def dual_mod_two_lattice(lat):
+    """``L*/2L`` as canonical representatives, in Smith order."""
+    return [lat.from_numerators(k, 2) for k in product(*(range(2 * d) for d in lat.elementary_divisors))]
+
+
+def all_characters(lat):
+    """All ``2^d`` sign characters of ``L/2L``, plus-signs first."""
+    return list(product((1, -1), repeat=lat.dim))
+
+
+def vl_label(lat, x):
+    return VlLabel(canonicalize(lat, x, Modulus.DUAL_MOD_2LATTICE))
+
+
+def split_label(lat, x, sign):
+    return Split(canonicalize(lat, x, Modulus.LATTICE_MOD_2LATTICE), sign)
+
+
+def nonsplit_label(lat, x):
+    return nonsplit_of_numerators(lat, lat.numerators(x))
+
+
+def all_vlplus_labels(lat):
+    """Every V_L^+ label once: NonSplit, then Split, then TwistedSplit."""
+    nonsplit = dict.fromkeys(nonsplit_label(lat, x) for x in dual_mod_two_lattice(lat) if not lat.in_lattice(x))
+    split = [split_label(lat, x, sign) for x in lattice_mod_two(lat) for sign in (1, -1)]
+    return [*nonsplit, *split, *(TwistedSplit(chi, sign) for chi in all_characters(lat) for sign in (1, -1))]
 
 
 def get_lattice(name):

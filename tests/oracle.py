@@ -13,11 +13,10 @@ When the upper bounds meet the budget the product is certified; otherwise
 ``OracleInconclusive`` is raised, which the tests treat as a failure.
 """
 
-from permorb.base import fusion_rule_vlplus, vl_label
-from permorb.lattice import vec_add
+from permorb.base import fusion_rule_vlplus
 from permorb.orbifold import decompose_module, enumerate_modules, qdims_by_kind
 
-from conftest import qdim_mul, qdim_of_sum
+from conftest import qdim_mul, qdim_of_sum, vec_add, vl_label
 
 
 class OracleInconclusive(Exception):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permorb.characters import (
-    all_characters,
     chi_eval,
     chi_of_lambda,
     chi_shift,
@@ -16,9 +15,9 @@ from permorb.characters import (
     weight_parity_sign,
 )
 from permorb.errors import NonIntegralPairing, NotInDual, NotInLattice
-from permorb.lattice import vec_add, vector
+from permorb.lattice import vector
 
-from conftest import get_lattice
+from conftest import all_characters, dual_mod_two_lattice, get_lattice, lattice_mod_two, vec_add
 
 
 class TestChiOfLambda:
@@ -54,7 +53,7 @@ class TestChiOfLambda:
     def test_surjective_onto_sign_vectors(self, name):
         # lifting L*/2L* through representatives of L*/2L hits every character
         lat = get_lattice(name)
-        seen = {chi_of_lambda(lat, x) for x in lat.dual_mod_two_lattice}
+        seen = {chi_of_lambda(lat, x) for x in dual_mod_two_lattice(lat)}
         assert seen == set(all_characters(lat))
 
 
@@ -139,11 +138,11 @@ class TestParitySigns:
 
     def test_gauge_trivial_for_even_cross_terms(self):
         lat = get_lattice("a1sq")
-        for alpha in lat.lattice_mod_two:
+        for alpha in lattice_mod_two(lat):
             assert split_gauge_sign(lat, alpha) == 1
 
     def test_gauge_nontrivial_on_a2(self, a2):
-        signs = {split_gauge_sign(a2, alpha) for alpha in a2.lattice_mod_two}
+        signs = {split_gauge_sign(a2, alpha) for alpha in lattice_mod_two(a2)}
         assert signs == {1, -1}
 
     def test_format(self, a2):

@@ -25,13 +25,11 @@ from permorb.lattice import (
     inner,
     smith_normal_form,
     validate_lattice,
-    vec_add,
-    vec_sub,
     vector,
 )
 from permorb.orbifold import fusion_table
 
-from conftest import GRAMS, get_lattice
+from conftest import GRAMS, dual_mod_two_lattice, get_lattice, lattice_mod_two, vec_add, vec_sub
 
 
 def mat_mul(a, b):
@@ -237,7 +235,7 @@ class TestCosets:
         assert list(a1.dual_mod_lattice) == [vector([0]), vector([F(1, 2)])]
 
     def test_a1_mod_two_reps(self, a1):
-        assert list(a1.lattice_mod_two) == [vector([0]), vector([1])]
+        assert lattice_mod_two(a1) == [vector([0]), vector([1])]
 
     def test_a1_two_torsion(self, a1):
         assert halve_mod_L(a1, vector([0])) == (vector([0]), vector([F(1, 2)]))
@@ -246,8 +244,8 @@ class TestCosets:
     def test_sizes(self, name):
         lat = get_lattice(name)
         assert len(lat.dual_mod_lattice) == lat.det
-        assert len(lat.lattice_mod_two) == 2**lat.dim
-        assert len(lat.dual_mod_two_lattice) == lat.det * 2**lat.dim
+        assert len(lattice_mod_two(lat)) == 2**lat.dim
+        assert len(dual_mod_two_lattice(lat)) == lat.det * 2**lat.dim
         torsion_keys = {lat.numerators(g) for g in halve_mod_L(lat, vector([0] * lat.dim))}
         dual_keys = {lat.numerators(r) for r in lat.dual_mod_lattice}
         assert torsion_keys <= dual_keys
@@ -258,8 +256,8 @@ class TestCosets:
         quotients = [
             (lat.dual_mod_lattice, Modulus.DUAL_MOD_LATTICE),
             (halve_mod_L(lat, vector([0] * lat.dim)), Modulus.DUAL_MOD_LATTICE),
-            (lat.lattice_mod_two, Modulus.LATTICE_MOD_2LATTICE),
-            (lat.dual_mod_two_lattice, Modulus.DUAL_MOD_2LATTICE),
+            (lattice_mod_two(lat), Modulus.LATTICE_MOD_2LATTICE),
+            (dual_mod_two_lattice(lat), Modulus.DUAL_MOD_2LATTICE),
         ]
         for reps, modulus in quotients:
             assert len(set(reps)) == len(reps)

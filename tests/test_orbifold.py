@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from permorb.base import Split, TwistedSplit, nonsplit_label, split_label, vl_label
+from permorb.base import Split, TwistedSplit
 from permorb.characters import chi_of_lambda, split_gauge_sign, weight_parity_sign
 from permorb.errors import DegeneratePair, PermorbError, TableTooLarge
-from permorb.lattice import inner, validate_lattice, vec_add, vec_sub, vector
+from permorb.lattice import inner, validate_lattice, vector
 from permorb.orbifold import (
     Diag,
     FusionTable,
@@ -44,6 +44,7 @@ from permorb.verify import (
     check_duality_pairing,
     check_glob,
     check_identity,
+    check_induction_roundtrip,
     check_multiplicities,
     check_nondiag_unified_vs_literal,
     check_qdim_homomorphism,
@@ -51,7 +52,19 @@ from permorb.verify import (
     verify,
 )
 
-from conftest import RING_AXIOM_NAMES, get_lattice, qdim_mul, qdim_of_sum
+from conftest import (
+    RING_AXIOM_NAMES,
+    get_lattice,
+    lattice_mod_two,
+    nonsplit_label,
+    qdim_mul,
+    qdim_of_sum,
+    split_label,
+    vec_add,
+    vec_sub,
+    vl_label,
+)
+from test_base import _mutant
 
 
 def D(lat, coords, eps):
@@ -177,7 +190,7 @@ class TestDecompose:
         sign = lambda t: -1 if t % 2 else 1
         parts = decompose_module(lat, m)
         assert len(parts) == 2**d
-        for alpha, got in zip(lat.lattice_mod_two, parts):
+        for alpha, got in zip(lattice_mod_two(lat), parts):
             if isinstance(m, Diag):
                 two_lam = tuple(2 * c for c in m.lam)
                 gauge = split_gauge_sign(lat, alpha)
@@ -226,6 +239,17 @@ class TestInduce:
                 continue
             for w in decompose_module(lat, m):
                 assert induce(lat, w) == m
+
+    @pytest.mark.parametrize("name, zero", [("a1", "0"), ("a2", "0,0"), ("odd7", "0,0")])
+    def test_flipped_rule_fails_the_roundtrip(self, name, zero, monkeypatch):
+        # induce reads the twisted sign off the rule table, so flipping the
+        # Split x TwistedSplit sign row lifts each constituent to the wrong parity
+        table = fusion_table(get_lattice(name))
+        assert check_induction_roundtrip(table).passed
+        rule = _mutant("twisted_split_sign_flipped")
+        monkeypatch.setattr(importlib.import_module("permorb.orbifold"), "fusion_rule_vlplus", rule)
+        res = check_induction_roundtrip(table)
+        assert (res.passed, res.detail) == (False, f"constituent of T({zero};0) induces to T({zero};1)")
 
 
 class TestQdims:
@@ -455,6 +479,14 @@ class TestVerify:
             table.tensor[i, j, :] *= 2
             assert not check_multiplicities(table).passed
             assert not check_qdim_homomorphism(table).passed
+
+    def test_multiplicity_witness_is_first_in_row_order(self):
+        # the 3 in row T(5/6;0) comes before the 2 in row T(5/6;1)
+        table = fusion_table(get_lattice("scaled6"))
+        for row, value in ((38, 2), (37, 3)):
+            table.tensor[row].flat[np.flatnonzero(table.tensor[row])[-1]] = value
+        res = check_multiplicities(table)
+        assert (res.passed, res.detail) == (False, "N(T(5/6;0), T(5/6;1); N(1/6,1/2)) = 3")
 
     def test_broken_duality_caught(self, a1):
         table = fusion_table(a1)
