@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -356,6 +357,11 @@ class FusionTable:
         self.labels = labels
         self.index = {m: i for i, m in enumerate(labels)}
         self.tensor = tensor
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """``dual[a]`` is the index of the dual of label ``a``."""
+        return np.array([self.index[dual_orbifold(self.lattice, m)] for m in self.labels])
 
 
 def label_count(lat: GramLattice) -> int:

@@ -1,10 +1,10 @@
 """Machine-checkable verification suite for the orbifold fusion ring.
 
-Every check is exact.  The associativity sweep runs only on the orbit
-representatives of the table's covariant simple currents, in float64 matrix
-products: every entry is an int16, so a sum of n products is an integer below
-n * 2**30, far below 2**53, and the floating comparison is exact integer
-arithmetic in disguise.  The NonDiag check rebuilds the expected rows of one
+Every check is exact.  The associativity sweep reads the table's nonzero
+entries, about ``2 n^2`` of them: it runs only on the orbit representatives
+of the table's covariant simple currents, lists every product term of both
+sides with its flat index, and sums equal indices in int64, so it holds no
+cube-sized temporary.  The NonDiag check rebuilds the expected rows of one
 NonDiag label against all NonDiag labels at once from an ``l x l`` coset
 addition table, and the qdim check sums the int16 table per run of one label
 kind in int64; no check copies the whole table to a wider dtype.  The
@@ -17,7 +17,7 @@ corrupted tensors can be fed in as negative controls.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Sequence, Tuple
 
@@ -31,7 +31,6 @@ from .orbifold import (
     NonDiag,
     Twisted,
     decompose_module,
-    dual_orbifold,
     enumerate_modules,
     fusion_table,
     glob,
@@ -83,10 +82,6 @@ def _unit(table: FusionTable) -> int:
     return table.index[Diag(table.lattice.dual_mod_lattice[0], 0)]
 
 
-def _dual_perm(table: FusionTable) -> np.ndarray:
-    return np.array([table.index[dual_orbifold(table.lattice, m)] for m in table.labels])
-
-
 def check_module_count(table: FusionTable) -> CheckResult:
     labels = enumerate_modules(table.lattice)
     l = table.lattice.det
@@ -123,26 +118,49 @@ def check_commutativity(table: FusionTable) -> CheckResult:
     )
 
 
-def _covariant(t: np.ndarray, s: np.ndarray) -> bool:
+_Entries = namedtuple("_Entries", "n flat a b c v ptr")
+
+
+def _entries(t: np.ndarray) -> _Entries:
+    """The nonzero entries ``N[a, b, c] = v`` of the table ``t`` in index
+    order, with the table flattened and ``ptr``: the entries of the pair
+    ``(a, b)`` are ``ptr[a*n + b]:ptr[a*n + b + 1]``."""
+    n, flat = len(t), t.reshape(-1)
+    # row by row: a mask of the whole table would be n^3 bytes
+    at = np.concatenate([np.flatnonzero(row != 0) + i * n * n for i, row in enumerate(t)])
+    a, bc = np.divmod(at, n * n)
+    ptr = np.searchsorted(at, np.arange(0, n**3 + 1, n))
+    return _Entries(n, flat, a, *np.divmod(bc, n), flat[at].astype(np.int64), ptr)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices ``lo[i] .. hi[i] - 1`` for all ``i`` in one array, and the ``i`` of each."""
+    owner = np.repeat(np.arange(len(lo)), hi - lo)
+    return np.arange(len(owner)) + (hi - np.cumsum(hi - lo))[owner], owner
+
+
+def _covariant(e: _Entries, s: np.ndarray) -> bool:
     """Whether ``N[s a, b, s c] == N[a, s b, s c] == N[a, b, c]`` for all
     ``a, b, c``: the permutation ``s`` is covariant in both multiplicand
-    slots.  Compared one row ``a`` at a time, so no extra cube is held."""
-    return all(
-        np.array_equal(t[s[a]][:, s], t[a]) and np.array_equal(t[a][s][:, s], t[a]) for a in range(len(t))
-    )
+    slots.  Compared on the nonzero entries only: each map is a bijection of
+    cells, so when it sends every nonzero entry to an equal one, it sends the
+    zeros to zeros too."""
+    n, sc = e.n, s[e.c]
+    return all(np.array_equal(e.flat[(x * n + y) * n + sc], e.v) for x, y in ((s[e.a], e.b), (e.a, s[e.b])))
 
 
-def _orbit_representatives(t: np.ndarray) -> np.ndarray:
+def _orbit_representatives(e: _Entries) -> np.ndarray:
     """The smallest label index of each orbit of the group generated by the
     table's covariant simple currents, in increasing order.
 
-    A simple current ``J`` is a row ``t[J]`` that is a 0/1 permutation
-    matrix, acting as ``x -> J x``.  Its covariance is tested only when it
-    would merge orbits; a current that fails the test is not used.
+    A simple current ``J`` is a row whose every pair ``(J, b)`` has exactly
+    one entry, equal to 1, at ``c = s[b]`` for a permutation ``s``, acting as
+    ``x -> J x``.  Its covariance is tested only when it would merge orbits; a
+    current that fails the test is not used.
     """
-    n = len(t)
-    eye = np.eye(n, dtype=t.dtype)
+    n = e.n
     root = list(range(n))  # union-find forest; each root is its orbit's minimum
+    orbit = np.arange(n)  # the root of each label, refreshed after each merge
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -150,16 +168,18 @@ def _orbit_representatives(t: np.ndarray) -> np.ndarray:
             x = root[x]
         return x
 
-    for row in t:
-        s = row.argmax(1)
-        if not (np.array_equal(row, eye[s]) and np.array_equal(np.sort(s), np.arange(n))):
+    for j in np.flatnonzero((np.diff(e.ptr).reshape(n, n) == 1).all(1)):
+        at = e.ptr[j * n : j * n + n]
+        s = e.c[at]
+        if not (e.v[at] == 1).all() or len(np.unique(s)) < n:
             continue
-        if all(find(x) == find(y) for x, y in enumerate(s)) or not _covariant(t, s):
+        if np.array_equal(orbit[s], orbit) or not _covariant(e, s):
             continue
         for x, y in enumerate(s):
             x, y = sorted((find(x), find(y)))
             root[y] = x
-    return np.array([x for x in range(n) if find(x) == x])
+        orbit = np.array([find(x) for x in range(n)])
+    return np.flatnonzero(orbit == np.arange(n))
 
 
 def check_associativity(table: FusionTable) -> CheckResult:
@@ -170,23 +190,28 @@ def check_associativity(table: FusionTable) -> CheckResult:
     sides at ``(P a, Q b, c, d)`` equal those at ``(a, b, c, Q^-1 P^-1 d)``.
     So the failing ``a``, and for a fixed ``a`` the failing ``b``, are unions
     of orbits, and the first witness in label order lies on representatives.
+    For each ``a`` both sides are lists of product terms of nonzero entries,
+    each with its key ``(b*n + c)*n + d``, and equal keys are summed in int64.
     """
-    t = table.tensor
-    n = len(t)
-    reps = _orbit_representatives(t)
-    # rhs[b,c,d] = sum_f N[b,c,f] N[a,f,d] for the representatives b
-    t_reps = t[reps].reshape(-1, n).astype(np.float64)
+    e = _entries(table.tensor)
+    n, reps = e.n, _orbit_representatives(e)
+    rows, _ = _ranges(e.ptr[reps * n], e.ptr[reps * n + n])  # N[b,c,f] for the representatives b
     for a in reps:
-        # lhs[b,c,d] = sum_e N[a,b,e] N[e,c,d], over the e that a x b reaches
-        row = t[a, reps]
-        es = np.flatnonzero(row.any(0))
-        lhs = row[:, es].astype(np.float64) @ t[es].reshape(len(es), n * n).astype(np.float64)
-        rhs = t_reps @ t[a].astype(np.float64)
-        lhs, rhs = lhs.reshape(-1, n, n), rhs.reshape(-1, n, n)
-        if not np.array_equal(lhs, rhs):
-            i = tuple(np.argwhere(lhs != rhs)[0])
-            s = [format_label(table.labels[x]) for x in (a, reps[i[0]], i[1], i[2])]
-            detail = f"witness ({s[0]}, {s[1]}, {s[2]}) -> {s[3]}: {int(lhs[i])} vs {int(rhs[i])}"
+        # the left side: N[a,b,e] for the representatives b, times every N[e,c,d]
+        left, _ = _ranges(e.ptr[a * n + reps], e.ptr[a * n + reps + 1])
+        ecd, i = _ranges(e.ptr[e.c[left] * n], e.ptr[e.c[left] * n + n])
+        lhs = ((e.b[left[i]] * n + e.b[ecd]) * n + e.c[ecd], e.v[left[i]] * e.v[ecd])
+        # the right side: N[b,c,f] times every N[a,f,d]
+        afd, i = _ranges(e.ptr[a * n + e.c[rows]], e.ptr[a * n + e.c[rows] + 1])
+        rhs = ((e.a[rows[i]] * n + e.b[rows[i]]) * n + e.c[afd], e.v[rows[i]] * e.v[afd])
+        keys, at = np.unique(np.concatenate([lhs[0], rhs[0]]), return_inverse=True)
+        diff = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(diff, at, np.concatenate([lhs[1], -rhs[1]]))
+        if diff.any():
+            k = keys[diff.nonzero()[0][0]]
+            sums = [int(val[key == k].sum()) for key, val in (lhs, rhs)]
+            s = [format_label(table.labels[x]) for x in (a, *np.unravel_index(k, (n, n, n)))]
+            detail = f"witness ({s[0]}, {s[1]}, {s[2]}) -> {s[3]}: {sums[0]} vs {sums[1]}"
             return CheckResult("associativity", False, detail)
     return CheckResult("associativity", True)
 
@@ -234,14 +259,14 @@ def check_qdim_lower_bound(table: FusionTable) -> CheckResult:
 def check_duality_pairing(table: FusionTable) -> CheckResult:
     col = table.tensor[:, :, _unit(table)]
     expected = np.zeros_like(col)
-    expected[np.arange(len(table.labels)), _dual_perm(table)] = 1
+    expected[np.arange(len(table.labels)), table.dual] = 1
     return _witness(
         table, "duality_pairing", col != expected, lambda i, s: f"N({s[0]}, {s[1]}; unit) = {int(col[i])}"
     )
 
 
 def check_dual_antiautomorphism(table: FusionTable) -> CheckResult:
-    t, perm = table.tensor, _dual_perm(table)
+    t, perm = table.tensor, table.dual
     return _witness(
         table,
         "dual_antiautomorphism",
@@ -381,9 +406,8 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
 
 def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    # peak RSS above the import baseline, measured at l = 16, 20 and 24, was
-    # 10.5-11.1 n^3 bytes while the qdim check multiplied an int64 copy of the
-    # table; it now sums the int16 table by label kind, and the peak at l = 24
-    # is 5.6 n^3, set by the associativity sweep.  14 n^3 stays until refitted
-    guard_memory("verify", labels_size(lat), 14 * label_count(lat) ** 3)
+    # peak RSS above the import baseline, measured at l = 16, 20, 24 and 32,
+    # is 3.2, 2.7, 2.4 and 2.3 n^3 bytes: the int16 table and, at small l, the
+    # nonzero entries; 4 n^3 is about 25% above the largest, so l <= 41 runs
+    guard_memory("verify", labels_size(lat), 4 * label_count(lat) ** 3)
     return Report(lat, run_checks(fusion_table(lat)))

@@ -229,16 +229,16 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: the fusion table for l = 64 (n = 2272 labels)")
 
     def test_verify_guard_before_table(self, capsys, tmp_path, monkeypatch):
-        # l = 34, the first l refused: the table alone would fit, verify would not
+        # l = 42, the first l refused: the table alone would fit, verify would not
         def no_table(lat):
             raise AssertionError("fusion_table called")
 
         monkeypatch.setattr(permorb.verify, "fusion_table", no_table)
-        path = tmp_path / "z34.json"
-        path.write_text(json.dumps({"gram": [[34]]}))
+        path = tmp_path / "z42.json"
+        path.write_text(json.dumps({"gram": [[42]]}))
         assert run(["verify", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: verify for l = 34 (n = 697 labels) needs about 4.4 GiB, above the limit of 4 GiB\n"
+            "error: verify for l = 42 (n = 1029 labels) needs about 4.1 GiB, above the limit of 4 GiB\n"
         )
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -36,6 +37,8 @@ from permorb.orbifold import (
 from permorb.render import format_label
 from permorb.verify import (
     CheckResult,
+    _covariant,
+    _entries,
     _orbit_representatives,
     check_associativity,
     check_commutativity,
@@ -344,10 +347,10 @@ class TestFusionTable:
         with pytest.raises(TableTooLarge, match=r"l = 64 \(n = 2272 labels\) needs about 21\.8 GiB"):
             fusion_table(validate_lattice([[64]]))
 
-    @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (14, 33)])
+    @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (4, 41)])
     def test_guard_cutoffs(self, cube_bytes, last_l):
         # the estimate reads l alone: the table (2 n^3 bytes) fits up to
-        # l = 47, verify (14 n^3 bytes) up to l = 33
+        # l = 47, verify (4 n^3 bytes) up to l = 41
         need = lambda l: cube_bytes * label_count(SimpleNamespace(det=l)) ** 3
         guard_memory("this", "l", need(last_l))
         with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
@@ -613,6 +616,13 @@ def dense_associativity(table):
     return True, ""
 
 
+def dense_covariant(t, s):
+    """Whether ``N[s a, b, s c] == N[a, s b, s c] == N[a, b, c]`` everywhere,
+    compared one dense row at a time; the reference for the covariance gate,
+    which reads the nonzero entries only."""
+    return all(np.array_equal(t[s[a]][:, s], t[a]) and np.array_equal(t[a][s][:, s], t[a]) for a in range(len(t)))
+
+
 def flipped(table, *entries):
     """A copy of ``table`` with ``N(a, b; c)`` and ``N(b, a; c)`` flipped
     between 0 and 1 for each ``(a, b, c)`` in ``entries``."""
@@ -685,16 +695,50 @@ class TestAssociativityReduction:
         assert not passed
         assert check_associativity(corrupted) == CheckResult("associativity", False, detail)
 
+    @pytest.mark.parametrize("name", ["z6", "a2", "l7"])
+    def test_covariance_gate_matches_dense_reference(self, name):
+        # one value written into a cell, into its orbit under the currents in
+        # one slot, or into its orbit in both slots, which keeps the table
+        # covariant; half of the cells were zero before
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        currents = [table.tensor[j].argmax(1) for j, m in enumerate(table.labels) if isinstance(m, Diag)]
+        zeros, nonzeros = np.argwhere(table.tensor == 0), np.argwhere(table.tensor != 0)
+        rng = random.Random(f"covariance-gate-{name}")
+        verdicts = Counter()
+        for case in range(24):
+            zero = (case // 4) % 2
+            pool = zeros if zero else nonzeros
+            a, b, c = pool[rng.randrange(len(pool))]
+            value = rng.choice([-1, 2, 3] + [1] * zero)
+            cells = [
+                [(a, b, c)],
+                [(p[a], b, p[c]) for p in currents],
+                [(a, q[b], q[c]) for q in currents],
+                [(p[a], q[b], q[p[c]]) for p in currents for q in currents],
+            ][case % 4]
+            t = table.tensor.copy()
+            for at in cells:
+                t[at] = value
+            e = _entries(t)
+            for s in currents:
+                covariant = dense_covariant(t, s)
+                assert _covariant(e, s) == covariant, (case, cells[0], value)
+                verdicts[covariant] += 1
+        assert verdicts[True] and verdicts[False]
+
     def test_sweep_visits_only_representatives(self, a2, monkeypatch):
         # with the covariance gate forced open, the a2 control above passes:
         # the sweep trusts the broken currents and skips the failing labels
         table = fusion_table(a2)
         i, k = table.index[D(a2, [0, 0], 1)], table.index[D(a2, [0, 0], 0)]
         corrupted = flipped(table, (i, i, k))
-        monkeypatch.setattr(importlib.import_module("permorb.verify"), "_covariant", lambda t, s: True)
+        monkeypatch.setattr(importlib.import_module("permorb.verify"), "_covariant", lambda e, s: True)
         assert check_associativity(corrupted).passed
 
-    @pytest.mark.parametrize("gram,count", [([[16]], 11), ([[2, -1], [-1, 2]], 3)])
+    @pytest.mark.parametrize(
+        "gram,count",
+        [([[16]], 11), ([[24]], 15), ([[2, -1], [-1, 2]], 3), ([[2 * (i == j) for j in range(4)] for i in range(4)], 32)],
+    )
     def test_representative_count(self, gram, count):
         table = fusion_table(validate_lattice(gram))
-        assert len(_orbit_representatives(table.tensor)) == count
+        assert len(_orbit_representatives(_entries(table.tensor))) == count

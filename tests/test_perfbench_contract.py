@@ -71,3 +71,19 @@ def test_qdims_output_passes_the_query_checker(tmp_path, capsys):
         rc = cli.run(["qdims", grams[name]])
         out, err = capsys.readouterr()
         assert checker.check(name, ("qdims",), rc, out, err) is None
+
+
+def test_traced_verify_annotates_the_table_and_each_check(tmp_path, capsys):
+    path = tmp_path / "odd7.json"
+    path.write_text(json.dumps({"gram": GRAMS["odd7"][0]}))
+    tr = Tracer()
+    layers.install(tr)
+    try:
+        assert cli.run(["verify", str(path)]) == 0
+    finally:
+        tr.uninstall()
+    capsys.readouterr()
+    (table,) = [s for s in tr.spans if s[3] == "orbifold.fusion_table"]
+    assert table[6]["nnz"] > 0 and table[6]["bytes"] == 2 * table[6]["labels"] ** 3
+    spans = [s[3] for s in tr.spans if s[3].startswith("verify.") and s[3] != "verify.verify"]
+    assert spans == [f"verify.{name}" for name in checks.VERIFY_CHECKS]
