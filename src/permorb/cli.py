@@ -221,11 +221,10 @@ def _cmd_decompose(args) -> int:
 def _table_rows(table, names: Sequence[str]):
     """``(a, b, [(c, mult), ...])`` for every ordered pair of labels, in label
     order, with ``names[i]`` standing for ``table.labels[i]``."""
-    n = len(names)
-    for i in range(n):
-        for j in range(n):
-            row = table.tensor[i, j]
-            yield names[i], names[j], [(names[k], int(row[k])) for k in row.nonzero()[0]]
+    n, ptr, c, v = len(names), table.ptr.tolist(), table.c.tolist(), table.v.tolist()
+    for p in range(n * n):
+        entries = slice(ptr[p], ptr[p + 1])
+        yield names[p // n], names[p % n], [(names[k], mult) for k, mult in zip(c[entries], v[entries])]
 
 
 def _cmd_table(args) -> int:

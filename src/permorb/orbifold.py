@@ -350,13 +350,35 @@ def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[
 
 
 class FusionTable:
-    """Dense multiplicity tensor ``N[a][b][c]`` over the full label list."""
+    """The multiplicities ``N[a][b][c]`` over the full label list, stored as
+    their nonzero entries: ``cells`` are the flat indices ``(a*n + b)*n + c``
+    in increasing order, ``v`` the counts, ``a``, ``b`` and ``c`` the split
+    indices, and the entries of the pair ``(a, b)`` are
+    ``ptr[a*n + b]:ptr[a*n + b + 1]``."""
 
-    def __init__(self, lat: GramLattice, labels: List[OrbifoldLabel], tensor: np.ndarray):
+    def __init__(self, lat: GramLattice, labels: List[OrbifoldLabel], cells: np.ndarray, v: np.ndarray):
+        n = len(labels)
         self.lattice = lat
         self.labels = labels
         self.index = {m: i for i, m in enumerate(labels)}
-        self.tensor = tensor
+        self.cells, self.v = cells, np.asarray(v, dtype=np.int64)
+        ab, self.c = np.divmod(cells, n)
+        self.a, self.b = np.divmod(ab, n)
+        self.ptr = np.searchsorted(cells, np.arange(0, n**3 + 1, n))
+
+    def at(self, cells: np.ndarray) -> np.ndarray:
+        """``N`` at the flat indices ``cells``, 0 where the table has no entry."""
+        i = np.minimum(np.searchsorted(self.cells, cells), len(self.cells) - 1)
+        return np.where(self.cells[i] == cells, self.v[i], 0)
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The read-only int16 cube ``N[a, b, c]``, for inspection; the package reads the entries."""
+        n = len(self.labels)
+        cube = np.zeros((n, n, n), dtype=np.int16)
+        cube.reshape(-1)[self.cells] = self.v
+        cube.flags.writeable = False
+        return cube
 
     @cached_property
     def dual(self) -> np.ndarray:
@@ -384,7 +406,7 @@ def guard_memory(what: str, size: str, need: int) -> None:
 
 
 def fusion_table(lat: GramLattice) -> FusionTable:
-    """Assemble the complete fusion tensor of ``n**3`` int16 entries."""
+    """The complete fusion table, from the batched rule on every pair of labels."""
     guard_memory("the fusion table", labels_size(lat), 2 * label_count(lat) ** 3)
     labels = enumerate_modules(lat)
     n, l, disc = len(labels), lat.det, lat.discriminant
@@ -396,7 +418,7 @@ def fusion_table(lat: GramLattice) -> FusionTable:
         "N": (2 * l, disc[u], disc[v]),
         "T": (2 * l + len(u), disc.repeat(2, 0), eps),
     }
-    cells = []  # the flat tensor index of every emitted (a, b, c) and (b, a, c)
+    cells = []  # the flat index of every emitted (a, b, c) and (b, a, c)
     for ka, kb in combinations_with_replacement("DNT", 2):
         (first_a, xa, ya), (first_b, xb, yb) = blocks[ka], blocks[kb]
         # every pair i <= j of labels of these kinds
@@ -405,7 +427,4 @@ def fusion_table(lat: GramLattice) -> FusionTable:
             i, j, c = first_a + pa[keys.at], first_b + pb[keys.at], _label_index(lat, keys)
             cells += [(i * n + j) * n + c, ((j * n + i) * n + c)[i != j]]
     # count, not set: a label emitted twice shows as a 2
-    cell, count = np.unique(np.concatenate(cells), return_counts=True)
-    tensor = np.zeros((n, n, n), dtype=np.int16)
-    tensor.reshape(-1)[cell] = count
-    return FusionTable(lat, labels, tensor)
+    return FusionTable(lat, labels, *np.unique(np.concatenate(cells), return_counts=True))

@@ -1,25 +1,23 @@
 """Machine-checkable verification suite for the orbifold fusion ring.
 
-Every check is exact.  The associativity sweep reads the table's nonzero
-entries, about ``2 n^2`` of them: it runs only on the orbit representatives
-of the table's covariant simple currents, lists every product term of both
-sides with its flat index, and sums equal indices in int64, so it holds no
-cube-sized temporary.  The NonDiag check rebuilds the expected rows of one
-NonDiag label against all NonDiag labels at once from an ``l x l`` coset
-addition table, and the qdim check sums the int16 table per run of one label
-kind in int64; no check copies the whole table to a wider dtype.  The
-commutativity and dual checks compare the table with itself one row at a time.
-
-Checks return a ``CheckResult`` with a witness string on failure; every
-check takes the fusion table as its argument so that deliberately
-corrupted tensors can be fed in as negative controls.
+Every check is exact and reads the table's nonzero entries, about ``2 n^2``
+of them, the one form ``FusionTable`` stores; none builds an array of
+``n^3`` cells.  Commutativity, the dual anti-automorphism and the covariance
+of a simple current compare each entry with the table at its image under a
+bijection of cells.  The associativity sweep runs only on the orbit
+representatives of the covariant simple currents and sums the product terms
+of both sides by flat index in int64.  The NonDiag check rebuilds the rows
+of one NonDiag label against all NonDiag labels from an ``l x l`` coset
+addition table.  A failing check names its first failing cell in index
+order; every check takes the table as its argument, so that deliberately
+corrupted tables can be fed in as negative controls.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,17 +63,17 @@ class Report:
 def _witness(
     table: FusionTable,
     name: str,
-    rows: Iterable[np.ndarray],
-    detail: Callable[[Tuple[int, ...], Sequence[str]], str],
+    cells: np.ndarray,
+    detail: Callable[[int, Sequence[str]], str],
 ) -> CheckResult:
-    """Pass when no row of ``rows``, a mask array or a generator of its rows,
-    has a true entry; otherwise fail with ``detail(idx, names)`` for the first
-    true entry ``idx`` in index order, ``names`` the labels at those indices."""
-    for a, row in enumerate(rows):
-        if row.any():
-            idx = (a, *(int(i) for i in np.argwhere(row)[0]))
-            return CheckResult(name, False, detail(idx, [format_label(table.labels[i]) for i in idx]))
-    return CheckResult(name, True)
+    """Pass when ``cells``, flat indices ``(a*n + b)*n + c`` of the table, is
+    empty; otherwise fail with ``detail(k, names)`` for the smallest cell
+    ``k``, ``names`` the labels ``a``, ``b`` and ``c`` of that cell."""
+    if not len(cells):
+        return CheckResult(name, True)
+    k, n = int(cells.min()), len(table.labels)
+    names = [format_label(table.labels[i]) for i in np.unravel_index(k, (n, n, n))]
+    return CheckResult(name, False, detail(k, names))
 
 
 def _unit(table: FusionTable) -> int:
@@ -102,35 +100,27 @@ def check_module_count(table: FusionTable) -> CheckResult:
 
 
 def check_identity(table: FusionTable) -> CheckResult:
-    eye = np.eye(len(table.labels), dtype=table.tensor.dtype)
-    return _witness(
-        table, "identity", table.tensor[_unit(table)] != eye, lambda i, s: f"unit x {s[0]} hit {s[1]}"
-    )
+    n = len(table.labels)
+    cells = _unit(table) * n * n + np.arange(n * n)
+    wrong = table.at(cells) != np.eye(n, dtype=np.int64).reshape(-1)
+    return _witness(table, "identity", cells[wrong], lambda k, s: f"unit x {s[1]} hit {s[2]}")
+
+
+def _moved(table: FusionTable, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The cells of the nonzero entries whose value differs from the table's
+    at their images ``(a, b, c)`` under a bijection of cells, one image per
+    entry, and those images.  For an involution these are exactly the cells
+    whose value differs from their image's: a differing cell that holds 0 is
+    the image of a differing entry."""
+    n = len(table.labels)
+    image = (a * n + b) * n + c
+    moved = table.at(image) != table.v
+    return np.concatenate([table.cells[moved], image[moved]])
 
 
 def check_commutativity(table: FusionTable) -> CheckResult:
-    t = table.tensor
-    return _witness(
-        table,
-        "commutativity",
-        (t[a] != t[:, a] for a in range(len(t))),
-        lambda i, s: f"{s[0]} x {s[1]} differs from the swapped product at {s[2]}",
-    )
-
-
-_Entries = namedtuple("_Entries", "n flat a b c v ptr")
-
-
-def _entries(t: np.ndarray) -> _Entries:
-    """The nonzero entries ``N[a, b, c] = v`` of the table ``t`` in index
-    order, with the table flattened and ``ptr``: the entries of the pair
-    ``(a, b)`` are ``ptr[a*n + b]:ptr[a*n + b + 1]``."""
-    n, flat = len(t), t.reshape(-1)
-    # row by row: a mask of the whole table would be n^3 bytes
-    at = np.concatenate([np.flatnonzero(row != 0) + i * n * n for i, row in enumerate(t)])
-    a, bc = np.divmod(at, n * n)
-    ptr = np.searchsorted(at, np.arange(0, n**3 + 1, n))
-    return _Entries(n, flat, a, *np.divmod(bc, n), flat[at].astype(np.int64), ptr)
+    detail = lambda k, s: f"{s[0]} x {s[1]} differs from the swapped product at {s[2]}"
+    return _witness(table, "commutativity", _moved(table, table.b, table.a, table.c), detail)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -139,17 +129,17 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(len(owner)) + (hi - np.cumsum(hi - lo))[owner], owner
 
 
-def _covariant(e: _Entries, s: np.ndarray) -> bool:
+def _covariant(table: FusionTable, s: np.ndarray) -> bool:
     """Whether ``N[s a, b, s c] == N[a, s b, s c] == N[a, b, c]`` for all
     ``a, b, c``: the permutation ``s`` is covariant in both multiplicand
     slots.  Compared on the nonzero entries only: each map is a bijection of
     cells, so when it sends every nonzero entry to an equal one, it sends the
     zeros to zeros too."""
-    n, sc = e.n, s[e.c]
-    return all(np.array_equal(e.flat[(x * n + y) * n + sc], e.v) for x, y in ((s[e.a], e.b), (e.a, s[e.b])))
+    sc = s[table.c]
+    return not any(len(_moved(table, x, y, sc)) for x, y in ((s[table.a], table.b), (table.a, s[table.b])))
 
 
-def _orbit_representatives(e: _Entries) -> np.ndarray:
+def _orbit_representatives(table: FusionTable) -> np.ndarray:
     """The smallest label index of each orbit of the group generated by the
     table's covariant simple currents, in increasing order.
 
@@ -158,7 +148,7 @@ def _orbit_representatives(e: _Entries) -> np.ndarray:
     ``x -> J x``.  Its covariance is tested only when it would merge orbits; a
     current that fails the test is not used.
     """
-    n = e.n
+    n = len(table.labels)
     root = list(range(n))  # union-find forest; each root is its orbit's minimum
     orbit = np.arange(n)  # the root of each label, refreshed after each merge
 
@@ -168,12 +158,12 @@ def _orbit_representatives(e: _Entries) -> np.ndarray:
             x = root[x]
         return x
 
-    for j in np.flatnonzero((np.diff(e.ptr).reshape(n, n) == 1).all(1)):
-        at = e.ptr[j * n : j * n + n]
-        s = e.c[at]
-        if not (e.v[at] == 1).all() or len(np.unique(s)) < n:
+    for j in np.flatnonzero((np.diff(table.ptr).reshape(n, n) == 1).all(1)):
+        at = table.ptr[j * n : j * n + n]
+        s = table.c[at]
+        if not (table.v[at] == 1).all() or len(np.unique(s)) < n:
             continue
-        if np.array_equal(orbit[s], orbit) or not _covariant(e, s):
+        if np.array_equal(orbit[s], orbit) or not _covariant(table, s):
             continue
         for x, y in enumerate(s):
             x, y = sorted((find(x), find(y)))
@@ -193,17 +183,16 @@ def check_associativity(table: FusionTable) -> CheckResult:
     For each ``a`` both sides are lists of product terms of nonzero entries,
     each with its key ``(b*n + c)*n + d``, and equal keys are summed in int64.
     """
-    e = _entries(table.tensor)
-    n, reps = e.n, _orbit_representatives(e)
-    rows, _ = _ranges(e.ptr[reps * n], e.ptr[reps * n + n])  # N[b,c,f] for the representatives b
+    n, reps, ptr, c, v = len(table.labels), _orbit_representatives(table), table.ptr, table.c, table.v
+    rows, _ = _ranges(ptr[reps * n], ptr[reps * n + n])  # N[b,c,f] for the representatives b
     for a in reps:
         # the left side: N[a,b,e] for the representatives b, times every N[e,c,d]
-        left, _ = _ranges(e.ptr[a * n + reps], e.ptr[a * n + reps + 1])
-        ecd, i = _ranges(e.ptr[e.c[left] * n], e.ptr[e.c[left] * n + n])
-        lhs = ((e.b[left[i]] * n + e.b[ecd]) * n + e.c[ecd], e.v[left[i]] * e.v[ecd])
+        left, _ = _ranges(ptr[a * n + reps], ptr[a * n + reps + 1])
+        ecd, i = _ranges(ptr[c[left] * n], ptr[c[left] * n + n])
+        lhs = ((table.b[left[i]] * n + table.b[ecd]) * n + c[ecd], v[left[i]] * v[ecd])
         # the right side: N[b,c,f] times every N[a,f,d]
-        afd, i = _ranges(e.ptr[a * n + e.c[rows]], e.ptr[a * n + e.c[rows] + 1])
-        rhs = ((e.a[rows[i]] * n + e.b[rows[i]]) * n + e.c[afd], e.v[rows[i]] * e.v[afd])
+        afd, i = _ranges(ptr[a * n + c[rows]], ptr[a * n + c[rows] + 1])
+        rhs = ((table.a[rows[i]] * n + table.b[rows[i]]) * n + c[afd], v[rows[i]] * v[afd])
         keys, at = np.unique(np.concatenate([lhs[0], rhs[0]]), return_inverse=True)
         diff = np.zeros(len(keys), dtype=np.int64)
         np.add.at(diff, at, np.concatenate([lhs[1], -rhs[1]]))
@@ -217,26 +206,21 @@ def check_associativity(table: FusionTable) -> CheckResult:
 
 
 def check_qdim_homomorphism(table: FusionTable) -> CheckResult:
-    lat = table.lattice
+    lat, n = table.lattice, len(table.labels)
     q = qdims_by_kind(lat)
-    kinds = [type(m) for m in table.labels]
-    qx, qy = np.array([q[k] for k in kinds], dtype=np.int64).T
-    # the labels come in runs of one kind, so each sum of N[a,b,c] qdim(c)
-    # is a sum over runs, counted without a wider copy of the table
-    starts = [c for c, k in enumerate(kinds) if c == 0 or k is not kinds[c - 1]]
-    ends = starts[1:] + [len(kinds)]
-    runs = np.stack([table.tensor[:, :, a:b].sum(2, dtype=np.int64) for a, b in zip(starts, ends)], 2)
-    # sums of products of qdims, kept as pairs (rational, sqrt(l)) parts
-    sum_x = runs @ qx[starts]
-    sum_y = runs @ qy[starts]
+    qx, qy = np.array([q[type(m)] for m in table.labels], dtype=np.int64).T
+    # sum_c N[a,b,c] qdim(c) for every pair, the differences of running sums
+    # over the entries; sums of products of qdims are kept as pairs
+    # (rational, sqrt(l)) parts
+    run, sums = np.zeros(len(table.v) + 1, dtype=np.int64), []
+    for w in (qx, qy):
+        np.cumsum(table.v * w[table.c], out=run[1:])
+        sums.append(np.diff(run[table.ptr]).reshape(n, n))
     lhs_x = np.outer(qx, qx) + lat.det * np.outer(qy, qy)
     lhs_y = np.outer(qx, qy) + np.outer(qy, qx)
-    return _witness(
-        table,
-        "qdim_homomorphism",
-        (lhs_x != sum_x) | (lhs_y != sum_y),
-        lambda i, s: f"{s[0]} x {s[1]}: product of qdims differs from qdim of the product",
-    )
+    wrong = np.flatnonzero((lhs_x != sums[0]) | (lhs_y != sums[1])) * n  # the cell (a, b, 0) of each pair
+    detail = lambda k, s: f"{s[0]} x {s[1]}: product of qdims differs from qdim of the product"
+    return _witness(table, "qdim_homomorphism", wrong, detail)
 
 
 def _at_least_one(q: Tuple[int, int], l: int) -> bool:
@@ -257,22 +241,17 @@ def check_qdim_lower_bound(table: FusionTable) -> CheckResult:
 
 
 def check_duality_pairing(table: FusionTable) -> CheckResult:
-    col = table.tensor[:, :, _unit(table)]
-    expected = np.zeros_like(col)
-    expected[np.arange(len(table.labels)), table.dual] = 1
-    return _witness(
-        table, "duality_pairing", col != expected, lambda i, s: f"N({s[0]}, {s[1]}; unit) = {int(col[i])}"
-    )
+    n = len(table.labels)
+    cells = np.arange(n * n) * n + _unit(table)
+    wrong = table.at(cells) != np.eye(n, dtype=np.int64)[table.dual].reshape(-1)
+    detail = lambda k, s: f"N({s[0]}, {s[1]}; unit) = {int(table.at(k))}"
+    return _witness(table, "duality_pairing", cells[wrong], detail)
 
 
 def check_dual_antiautomorphism(table: FusionTable) -> CheckResult:
-    t, perm = table.tensor, table.dual
-    return _witness(
-        table,
-        "dual_antiautomorphism",
-        (t[perm[a]][perm][:, perm] != t[a] for a in range(len(t))),
-        lambda i, s: f"dual of product differs at ({s[0]}, {s[1]}; {s[2]})",
-    )
+    d = table.dual
+    detail = lambda k, s: f"dual of product differs at ({s[0]}, {s[1]}; {s[2]})"
+    return _witness(table, "dual_antiautomorphism", _moved(table, d[table.a], d[table.b], d[table.c]), detail)
 
 
 def check_glob(table: FusionTable) -> CheckResult:
@@ -357,7 +336,7 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
         lg, md, mg, ld = add[lam, gam], add[mu, dlt], add[mu, gam], add[lam, dlt]
         # swapping lam with mu, or gam with dlt, permutes the four sums
         orientations = [(lg, md, mg, ld), (mg, ld, lg, md), (ld, mg, md, lg), (md, lg, ld, mg)]
-        expected = np.zeros((4, len(nd), n), dtype=table.tensor.dtype)
+        expected = np.zeros((4, len(nd), n), dtype=np.int16)
         covered, cells = [], []
         for o, (x, y, z, w) in enumerate(orientations):
             same1, same2 = x == y, z == w
@@ -368,7 +347,11 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
             terms += [(~same1, n_col[x, y]), (~same1 & ~same2, n_col[z, w])]
             cells += [o * len(nd) * n + (offset + col)[mask] for mask, col in terms]
         np.add.at(expected.reshape(-1), np.concatenate(cells), 1)
-        bad = (np.array(covered) & (expected != table.tensor[i, nd]).any(2)).any(0)
+        # the table's rows N(i, j) for the NonDiag j, filled from the entries
+        got = np.zeros((len(nd), n), dtype=np.int16)
+        at, owner = _ranges(table.ptr[i * n + nd], table.ptr[i * n + nd + 1])
+        got[owner, table.c[at]] = table.v[at]
+        bad = (np.array(covered) & (expected != got).any(2)).any(0)
         if bad.any():
             names = f"{format_label(table.labels[i])} x {format_label(table.labels[nd[bad.argmax()]])}"
             detail = f"{names}: literal case split disagrees with the unified rule"
@@ -377,13 +360,8 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
 
 
 def check_multiplicities(table: FusionTable) -> CheckResult:
-    t = table.tensor
-    return _witness(
-        table,
-        "multiplicities_are_01",
-        (t[a] > 1 for a in range(len(t))),
-        lambda i, s: f"N({s[0]}, {s[1]}; {s[2]}) = {int(t[i])}",
-    )
+    detail = lambda k, s: f"N({s[0]}, {s[1]}; {s[2]}) = {int(table.at(k))}"
+    return _witness(table, "multiplicities_are_01", table.cells[table.v > 1], detail)
 
 
 def run_checks(table: FusionTable) -> List[CheckResult]:
@@ -407,7 +385,8 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
 def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
     # peak RSS above the import baseline, measured at l = 16, 20, 24 and 32,
-    # is 3.2, 2.7, 2.4 and 2.3 n^3 bytes: the int16 table and, at small l, the
-    # nonzero entries; 4 n^3 is about 25% above the largest, so l <= 41 runs
+    # is 9, 17, 31 and 81 MB (1.5, 0.9, 0.63 and 0.35 n^3 bytes): it grows
+    # with the about 2 n^2 entries, so 4 n^3, fitted to the dense table this
+    # no longer builds, is far above it at every l it admits (l <= 41)
     guard_memory("verify", labels_size(lat), 4 * label_count(lat) ** 3)
     return Report(lat, run_checks(fusion_table(lat)))

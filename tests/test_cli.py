@@ -16,6 +16,7 @@ import permorb
 from permorb import enumerate_modules
 from permorb.cli import _guard_output, load_gram, parse_label, run
 from permorb.errors import DegeneratePair, NotInDual, ParseError, PermorbError, TableTooLarge
+from permorb.orbifold import FusionTable
 from permorb.render import format_label
 
 from conftest import GRAMS, get_lattice
@@ -297,6 +298,20 @@ class TestRun:
         assert run(["verify", gram_file("e8")]) == 0
         out = capsys.readouterr().out
         assert "PASS associativity" in out and "FAIL" not in out
+
+    def test_table_and_verify_read_only_the_entries(self, capsys, gram_file, monkeypatch):
+        # the dense cube of a table is for inspection; the listing and every
+        # check read the nonzero entries
+        def no_cube(table):
+            raise AssertionError("FusionTable.tensor read")
+
+        monkeypatch.setattr(FusionTable, "tensor", property(no_cube))
+        path = gram_file("odd7")
+        assert run(["verify", path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert run(["table", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 49**2 and lines[0] == "D(0,0;0) x D(0,0;0) = D(0,0;0)"
 
     def test_verify_json(self, capsys, gram_file):
         assert run(["verify", gram_file("a1"), "--json"]) == 0

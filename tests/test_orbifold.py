@@ -38,7 +38,6 @@ from permorb.render import format_label
 from permorb.verify import (
     CheckResult,
     _covariant,
-    _entries,
     _orbit_representatives,
     check_associativity,
     check_commutativity,
@@ -425,6 +424,16 @@ class TestBatchedRule:
         assert check_nondiag_unified_vs_literal(table).passed
 
 
+def edited(table, edit):
+    """A new table from a copy of ``table``'s cube after ``edit(cube)`` has
+    changed it in place.  The cube of a table is read-only, so a corruption
+    cannot reach the checks any other way."""
+    t = table.tensor.copy()
+    edit(t)
+    cells = np.flatnonzero(t)
+    return FusionTable(table.lattice, table.labels, cells, t.reshape(-1)[cells])
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", ["a1", "a2", "e8"])
     def test_all_pass(self, name):
@@ -437,18 +446,22 @@ class TestVerify:
         i = table.index[T(a1, [0], 0)]
         j = table.index[D(a1, [F(1, 2)], 0)]
         k = table.index[D(a1, [F(1, 2)], 1)]
-        table.tensor[i, i, j], table.tensor[i, i, k] = (
-            table.tensor[i, i, k],
-            table.tensor[i, i, j],
-        )
-        res = check_associativity(table)
+
+        def swap(t):
+            t[i, i, [j, k]] = t[i, i, [k, j]]
+
+        res = check_associativity(edited(table, swap))
         assert not res.passed and "witness" in res.detail
 
     def test_corrupted_identity_caught(self, a1):
         table = fusion_table(a1)
         unit = table.index[D(a1, [0], 0)]
-        table.tensor[unit, 1, 1] = 0
-        assert not check_identity(table).passed
+
+        def drop(t):
+            t[unit, 1, 1] = 0
+
+        res = check_identity(edited(table, drop))
+        assert (res.passed, res.detail) == (False, "unit x D(0;1) hit D(0;1)")
 
     def test_corrupted_commutativity_caught(self):
         # N(T(5/6;0), T(2/3;1); D(1/3;1)) flips, so both orderings disagree;
@@ -457,8 +470,11 @@ class TestVerify:
         lat = get_lattice("scaled6")
         table = fusion_table(lat)
         i, j, k = (table.index[m] for m in (T(lat, [F(5, 6)], 0), T(lat, [F(2, 3)], 1), D(lat, [F(1, 3)], 1)))
-        table.tensor[i, j, k] = 1 - table.tensor[i, j, k]
-        res = check_commutativity(table)
+
+        def flip(t):
+            t[i, j, k] = 1 - t[i, j, k]
+
+        res = check_commutativity(edited(table, flip))
         assert (res.passed, res.detail) == (
             False,
             "T(2/3;1) x T(5/6;0) differs from the swapped product at D(1/3;1)",
@@ -470,25 +486,39 @@ class TestVerify:
         lat = get_lattice("scaled6")
         table = fusion_table(lat)
         i, j, k = (table.index[m] for m in (T(lat, [F(2, 3)], 1), T(lat, [F(1, 6)], 1), D(lat, [F(1, 3)], 1)))
-        table.tensor[i, j, k] = 1 - table.tensor[i, j, k]
-        res = check_dual_antiautomorphism(table)
+
+        def flip(t):
+            t[i, j, k] = 1 - t[i, j, k]
+
+        res = check_dual_antiautomorphism(edited(table, flip))
         assert (res.passed, res.detail) == (False, "dual of product differs at (T(1/3;0), T(5/6;1); D(2/3;1))")
 
     def test_doubled_multiplicity_caught(self):
-        # scaled4 has l = 4, a perfect square: the doubled row is D x T, whose
-        # qdim sqrt(4) = 2 is folded into the rational part
-        for name, i, j in (("a1", 2, 3), ("scaled4", 2, -1)):
-            table = fusion_table(get_lattice(name))
-            table.tensor[i, j, :] *= 2
-            assert not check_multiplicities(table).passed
-            assert not check_qdim_homomorphism(table).passed
+        # a1's D x T row differs only in the sqrt(2) part; scaled4 has l = 4,
+        # a perfect square: the doubled row is D x T, whose qdim sqrt(4) = 2
+        # is folded into the rational part
+        cases = [
+            ("a1", 2, 3, "N(D(1/2;0), D(1/2;1); D(0;1)) = 2", "D(1/2;0) x D(1/2;1)"),
+            ("a1", 2, -1, "N(D(1/2;0), T(1/2;1); T(1/2;1)) = 2", "D(1/2;0) x T(1/2;1)"),
+            ("scaled4", 2, -1, "N(D(1/4;0), T(3/4;1); T(1/4;0)) = 2", "D(1/4;0) x T(3/4;1)"),
+        ]
+        for name, i, j, multiplicity, pair in cases:
+
+            def double(t):
+                t[i, j, :] *= 2
+
+            table = edited(fusion_table(get_lattice(name)), double)
+            assert check_multiplicities(table) == CheckResult("multiplicities_are_01", False, multiplicity)
+            detail = f"{pair}: product of qdims differs from qdim of the product"
+            assert check_qdim_homomorphism(table) == CheckResult("qdim_homomorphism", False, detail)
 
     def test_multiplicity_witness_is_first_in_row_order(self):
         # the 3 in row T(5/6;0) comes before the 2 in row T(5/6;1)
-        table = fusion_table(get_lattice("scaled6"))
-        for row, value in ((38, 2), (37, 3)):
-            table.tensor[row].flat[np.flatnonzero(table.tensor[row])[-1]] = value
-        res = check_multiplicities(table)
+        def write(t):
+            for row, value in ((38, 2), (37, 3)):
+                t[row].flat[np.flatnonzero(t[row])[-1]] = value
+
+        res = check_multiplicities(edited(fusion_table(get_lattice("scaled6")), write))
         assert (res.passed, res.detail) == (False, "N(T(5/6;0), T(5/6;1); N(1/6,1/2)) = 3")
 
     def test_broken_duality_caught(self, a1):
@@ -496,10 +526,12 @@ class TestVerify:
         unit = table.index[D(a1, [0], 0)]
         i = table.index[T(a1, [0], 0)]
         j = table.index[T(a1, [0], 1)]
-        col = table.tensor[:, :, unit].copy()
-        table.tensor[i, :, unit] = col[j, :]
-        table.tensor[j, :, unit] = col[i, :]
-        assert not check_duality_pairing(table).passed
+
+        def swap(t):
+            t[[i, j], :, unit] = t[[j, i], :, unit]
+
+        res = check_duality_pairing(edited(table, swap))
+        assert (res.passed, res.detail) == (False, "N(T(0;0), T(0;0); unit) = 0")
 
     def test_dropped_constituent_caught(self, a1, monkeypatch):
         # the check sums the qdims of each module's constituents, so losing one
@@ -589,9 +621,12 @@ class TestNondiagCheck:
         table = fusion_table(lat)
         a = table.index[nondiag(lat, vector([F(1, 3)]), vector([F(1, 2)]))]
         b = table.index[nondiag(lat, vector([0]), vector([F(5, 6)]))]
-        for i, j in [(a, b), (b, a)] if both else [(a, b)]:
-            corrupt(table.tensor[i, j], table)
-        res = check_nondiag_unified_vs_literal(table)
+
+        def edit(t):
+            for i, j in [(a, b), (b, a)] if both else [(a, b)]:
+                corrupt(t[i, j], table)
+
+        res = check_nondiag_unified_vs_literal(edited(table, edit))
         assert not res.passed
         assert res.detail == f"{names}: literal case split disagrees with the unified rule"
 
@@ -616,6 +651,44 @@ def dense_associativity(table):
     return True, ""
 
 
+def dense_sweep(table, rows, detail):
+    """``(passed, detail)`` of a sweep over the per-row masks ``rows`` of the
+    dense table: ``detail(idx, names)`` for the first true entry in row
+    order, as ``verify`` reported before the checks read the entries."""
+    for a, row in enumerate(rows):
+        if row.any():
+            idx = (a, *(int(i) for i in np.argwhere(row)[0]))
+            return False, detail(idx, [format_label(table.labels[i]) for i in idx])
+    return True, ""
+
+
+def dense_commutativity(table):
+    """The reference for ``check_commutativity``: each row against the column slice."""
+    t = table.tensor
+    return dense_sweep(
+        table,
+        (t[a] != t[:, a] for a in range(len(t))),
+        lambda i, s: f"{s[0]} x {s[1]} differs from the swapped product at {s[2]}",
+    )
+
+
+def dense_dual_antiautomorphism(table):
+    """The reference for ``check_dual_antiautomorphism``: each row against
+    the permuted row of the dual label."""
+    t, perm = table.tensor, table.dual
+    return dense_sweep(
+        table,
+        (t[perm[a]][perm][:, perm] != t[a] for a in range(len(t))),
+        lambda i, s: f"dual of product differs at ({s[0]}, {s[1]}; {s[2]})",
+    )
+
+
+def dense_multiplicities(table):
+    """The reference for ``check_multiplicities``."""
+    t = table.tensor
+    return dense_sweep(table, (t[a] > 1 for a in range(len(t))), lambda i, s: f"N({s[0]}, {s[1]}; {s[2]}) = {int(t[i])}")
+
+
 def dense_covariant(t, s):
     """Whether ``N[s a, b, s c] == N[a, s b, s c] == N[a, b, c]`` everywhere,
     compared one dense row at a time; the reference for the covariance gate,
@@ -626,10 +699,12 @@ def dense_covariant(t, s):
 def flipped(table, *entries):
     """A copy of ``table`` with ``N(a, b; c)`` and ``N(b, a; c)`` flipped
     between 0 and 1 for each ``(a, b, c)`` in ``entries``."""
-    t = table.tensor.copy()
-    for a, b, c in entries:
-        t[a, b, c] = t[b, a, c] = 1 - t[a, b, c]
-    return FusionTable(table.lattice, table.labels, t)
+
+    def flip_both(t):
+        for a, b, c in entries:
+            t[a, b, c] = t[b, a, c] = 1 - t[a, b, c]
+
+    return edited(table, flip_both)
 
 
 EQUIVALENCE_GRAMS = {
@@ -673,11 +748,13 @@ class TestAssociativityReduction:
         rng = random.Random(f"one-slot-{name}")
         for case in range(16):
             a, b, c = (rng.randrange(n) for _ in range(3))
-            t = table.tensor.copy()
-            for s in currents:
-                at = (s[a], b, s[c]) if case % 2 else (a, s[b], s[c])
-                t[at] = 1 - table.tensor[a, b, c]
-            corrupted = FusionTable(table.lattice, table.labels, t)
+
+            def write(t):
+                for s in currents:
+                    at = (s[a], b, s[c]) if case % 2 else (a, s[b], s[c])
+                    t[at] = 1 - table.tensor[a, b, c]
+
+            corrupted = edited(table, write)
             res = check_associativity(corrupted)
             assert (res.passed, res.detail) == dense_associativity(corrupted), (case, a, b, c)
 
@@ -716,13 +793,15 @@ class TestAssociativityReduction:
                 [(a, q[b], q[c]) for q in currents],
                 [(p[a], q[b], q[p[c]]) for p in currents for q in currents],
             ][case % 4]
-            t = table.tensor.copy()
-            for at in cells:
-                t[at] = value
-            e = _entries(t)
+
+            def write(t):
+                for at in cells:
+                    t[at] = value
+
+            corrupted = edited(table, write)
             for s in currents:
-                covariant = dense_covariant(t, s)
-                assert _covariant(e, s) == covariant, (case, cells[0], value)
+                covariant = dense_covariant(corrupted.tensor, s)
+                assert _covariant(corrupted, s) == covariant, (case, cells[0], value)
                 verdicts[covariant] += 1
         assert verdicts[True] and verdicts[False]
 
@@ -732,7 +811,7 @@ class TestAssociativityReduction:
         table = fusion_table(a2)
         i, k = table.index[D(a2, [0, 0], 1)], table.index[D(a2, [0, 0], 0)]
         corrupted = flipped(table, (i, i, k))
-        monkeypatch.setattr(importlib.import_module("permorb.verify"), "_covariant", lambda e, s: True)
+        monkeypatch.setattr(importlib.import_module("permorb.verify"), "_covariant", lambda table, s: True)
         assert check_associativity(corrupted).passed
 
     @pytest.mark.parametrize(
@@ -741,4 +820,47 @@ class TestAssociativityReduction:
     )
     def test_representative_count(self, gram, count):
         table = fusion_table(validate_lattice(gram))
-        assert len(_orbit_representatives(_entries(table.tensor))) == count
+        assert len(_orbit_representatives(table)) == count
+
+
+class TestRowSweepReferences:
+    """The commutativity, dual and multiplicity checks, which read the
+    entries, report what row-by-row sweeps of the dense table report."""
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_GRAMS)
+    def test_entry_checks_match_row_sweeps(self, name):
+        # one to three cells get a new value, each a zero cell or an entry;
+        # in every fourth case each value goes to the swapped cell too, which
+        # keeps the table commutative, and in another to the dual cell too
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        zeros, nonzeros = np.argwhere(table.tensor == 0), np.argwhere(table.tensor != 0)
+        rng = random.Random(f"row-sweeps-{name}")
+        d = table.dual
+        pairs = [
+            (check_commutativity, dense_commutativity),
+            (check_dual_antiautomorphism, dense_dual_antiautomorphism),
+            (check_multiplicities, dense_multiplicities),
+        ]
+        verdicts = Counter()
+        for case in range(24):
+            writes = []
+            for _ in range(1 + case % 3):
+                zero = rng.random() < 0.5
+                pool = zeros if zero else nonzeros
+                a, b, c = pool[rng.randrange(len(pool))]
+                value = rng.choice([-1, 2, 3, 1 if zero else 0])
+                mirror = {2: [(d[a], d[b], d[c])], 3: [(b, a, c)]}.get(case % 4, [])
+                writes += [(at, value) for at in [(a, b, c), *mirror]]
+
+            def write(t):
+                for at, value in writes:
+                    t[at] = value
+
+            corrupted = edited(table, write)
+            for check, reference in pairs:
+                res = check(corrupted)
+                assert (res.passed, res.detail) == reference(corrupted), (check.__name__, writes)
+                verdicts[check.__name__, res.passed] += 1
+        # where every label is self-dual, a write cannot break the dual check
+        self_dual = np.array_equal(d, np.arange(len(d)))
+        assert len(verdicts) == 6 - self_dual, verdicts
