@@ -35,6 +35,7 @@ from .orbifold import (
     OrbifoldLabel,
     decompose_module,
     diag,
+    entry_count,
     enumerate_modules,
     fuse_orbifold,
     fusion_table,
@@ -55,17 +56,21 @@ _LABEL_RE = re.compile(r"^\s*([DNT])\(([^()]*)\)\s*$")
 _EXPONENT_RE = re.compile(r"[\d.][eE][-+]?\d")
 # longest repr of a rejected Gram entry that an error line quotes in full
 _MAX_REPR = 60
-# peak bytes per printed item, a + b*d at rank d, by command and --json;
+# peak bytes per printed item, a + b*d at rank d, by command and format;
 # measured as peak RSS above the import baseline with CPython 3.11: labels on
 # [[1000]] and diag(2)^8, constituents on diag(2)^d for d = 8, 12 and 16,
-# taking the largest of the three label kinds
+# taking the largest of the three label kinds, and table entries, the table
+# included, at l = 16, 24, 32 and 64 on ranks 1, 4 and 6
 _ITEM_BYTES = {
-    ("modules", False): (210, 10),
-    ("modules", True): (1700, 300),
-    ("qdims", False): (250, 10),
-    ("qdims", True): (1000, 0),
-    ("decompose", False): (1700, 250),
-    ("decompose", True): (3400, 300),
+    "modules": (210, 10),
+    "modules --json": (1700, 300),
+    "qdims": (250, 10),
+    "qdims --json": (1000, 0),
+    "decompose": (1700, 250),
+    "decompose --json": (3400, 300),
+    "table": (165, 18),
+    "table --csv": (190, 30),
+    "table --json": (1500, 20),
 }
 
 
@@ -139,14 +144,15 @@ def parse_label(lat: GramLattice, text: str) -> OrbifoldLabel:
 
 
 def _guard_output(lat: GramLattice, args) -> None:
-    """Refuse a listing of the n labels, or a decomposition into 2^d
-    constituents, whose output would not fit in memory."""
-    a, b = _ITEM_BYTES[args.command, args.json]
-    what = f"{args.command} --json" if args.json else args.command
+    """Refuse a listing of the n labels or of the about 2 n^2 table entries,
+    or a decomposition into 2^d constituents, whose output would not fit in
+    memory."""
+    what = args.command + (" --csv" if getattr(args, "csv", False) else " --json" if args.json else "")
+    a, b = _ITEM_BYTES[what]
     if args.command == "decompose":
         count, size = 2**lat.dim, f"d = {lat.dim} ({2**lat.dim} constituents)"
     else:
-        count, size = label_count(lat), labels_size(lat)
+        count, size = (entry_count if args.command == "table" else label_count)(lat), labels_size(lat)
     guard_memory(what, size, count * (a + b * lat.dim))
 
 
@@ -229,6 +235,7 @@ def _table_rows(table, names: Sequence[str]):
 
 def _cmd_table(args) -> int:
     lat = load_gram(args.gram)
+    _guard_output(lat, args)
     table = fusion_table(lat)
     names = [format_label(m) for m in table.labels]
     rows = _table_rows(table, names)

@@ -4,17 +4,20 @@ Every check is exact and reads the table's nonzero entries, about ``2 n^2``
 of them, the one form ``FusionTable`` stores; none builds an array of
 ``n^3`` cells.  Commutativity, the dual anti-automorphism and the covariance
 of a simple current compare each entry with the table at its image under a
-bijection of cells.  The associativity sweep runs only on the orbit
-representatives of the covariant simple currents and sums the product terms
-of both sides by flat index in int64.  The NonDiag check rebuilds the rows
-of one NonDiag label against all NonDiag labels from an ``l x l`` coset
-addition table.  A failing check names its first failing cell in index
+bijection of cells.  The associativity sweep and the NonDiag check run only
+on the orbit representatives of the simple currents that are covariant
+coset translations, searched once per table; both stay exact, as the
+failing labels and the failing partners of each are unions of orbits.
+Associativity sums the product terms of both sides by flat index in int64;
+the NonDiag check rebuilds each representative's rows from an ``l x l``
+coset addition table.  A failing check names its first failing cell in index
 order; every check takes the table as its argument, so that deliberately
 corrupted tables can be fed in as negative controls.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
@@ -29,12 +32,12 @@ from .orbifold import (
     NonDiag,
     Twisted,
     decompose_module,
+    entry_count,
     enumerate_modules,
     fusion_table,
     glob,
     guard_memory,
     induce,
-    label_count,
     labels_size,
     qdims_by_kind,
 )
@@ -100,10 +103,13 @@ def check_module_count(table: FusionTable) -> CheckResult:
 
 
 def check_identity(table: FusionTable) -> CheckResult:
-    n = len(table.labels)
-    cells = _unit(table) * n * n + np.arange(n * n)
-    wrong = table.at(cells) != np.eye(n, dtype=np.int64).reshape(-1)
-    return _witness(table, "identity", cells[wrong], lambda k, s: f"unit x {s[1]} hit {s[2]}")
+    n, unit = len(table.labels), _unit(table)
+    at = slice(table.ptr[unit * n], table.ptr[unit * n + n])  # the entries of the unit's row
+    cells = unit * n * n + np.arange(n) * (n + 1)  # the cells (unit, b, b)
+    # the entries that are off the diagonal or not 1, and the diagonal cells with no entry
+    off = table.v[at] != (table.b[at] == table.c[at])
+    wrong = np.concatenate([table.cells[at][off], cells[table.at(cells) == 0]])
+    return _witness(table, "identity", wrong, lambda k, s: f"unit x {s[1]} hit {s[2]}")
 
 
 def _moved(table: FusionTable, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -139,16 +145,49 @@ def _covariant(table: FusionTable, s: np.ndarray) -> bool:
     return not any(len(_moved(table, x, y, sc)) for x, y in ((s[table.a], table.b), (table.a, s[table.b])))
 
 
+def _coset_columns(table: FusionTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``l x l`` coset addition table and the table's column of
+    ``D(c; eps)`` and of ``N(u, v) = N(v, u)``, by coset index."""
+    lat = table.lattice
+    reps = lat.dual_mod_lattice
+    d_col = np.array([[table.index[Diag(r, eps)] for eps in (0, 1)] for r in reps])
+    n_col = np.zeros((len(reps), len(reps)), dtype=np.intp)
+    for u, v in zip(*np.triu_indices(len(reps), 1)):
+        n_col[u, v] = n_col[v, u] = table.index[NonDiag(reps[u], reps[v])]
+    disc = lat.discriminant
+    add = lat.coset_index((disc[:, None] + disc) % lat.divisors).astype(np.intp)
+    return add, d_col, n_col
+
+
+def _translates(s: np.ndarray, g: int, add: np.ndarray, d_col: np.ndarray, n_col: np.ndarray) -> bool:
+    """Whether ``s`` sends each ``N(u, v)`` to ``N(u + g, v + g)`` and each
+    pair ``{D(x; 0), D(x; 1)}`` onto ``{D(x + g; 0), D(x + g; 1)}``."""
+    u, v = np.triu_indices(len(add), 1)
+    pairs = np.array_equal(np.sort(s[d_col], 1), np.sort(d_col[add[g]], 1))
+    return pairs and np.array_equal(s[n_col[u, v]], n_col[add[g, u], add[g, v]])
+
+
+_REPRESENTATIVES = weakref.WeakKeyDictionary()  # of each live table, dropped with it
+
+
 def _orbit_representatives(table: FusionTable) -> np.ndarray:
     """The smallest label index of each orbit of the group generated by the
-    table's covariant simple currents, in increasing order.
+    table's simple currents, in increasing order, searched once per table.
 
-    A simple current ``J`` is a row whose every pair ``(J, b)`` has exactly
-    one entry, equal to 1, at ``c = s[b]`` for a permutation ``s``, acting as
-    ``x -> J x``.  Its covariance is tested only when it would merge orbits; a
-    current that fails the test is not used.
+    A simple current ``J = D(g; eps)`` is a row whose every pair ``(J, b)``
+    has exactly one entry, equal to 1, at ``c = s[b]`` for a permutation
+    ``s``, acting as ``x -> J x``.  It is used only when it would merge
+    orbits, ``s`` is the literal translation by ``g`` and the table is
+    covariant under ``s``.
     """
+    if table not in _REPRESENTATIVES:
+        _REPRESENTATIVES[table] = _representative_search(table)
+    return _REPRESENTATIVES[table]
+
+
+def _representative_search(table: FusionTable) -> np.ndarray:
     n = len(table.labels)
+    add, d_col, n_col = _coset_columns(table)
     root = list(range(n))  # union-find forest; each root is its orbit's minimum
     orbit = np.arange(n)  # the root of each label, refreshed after each merge
 
@@ -158,12 +197,13 @@ def _orbit_representatives(table: FusionTable) -> np.ndarray:
             x = root[x]
         return x
 
-    for j in np.flatnonzero((np.diff(table.ptr).reshape(n, n) == 1).all(1)):
+    single = (np.diff(table.ptr).reshape(n, n) == 1).all(1)  # the rows with one entry per pair
+    for (g, _eps), j in np.ndenumerate(d_col):
         at = table.ptr[j * n : j * n + n]
         s = table.c[at]
-        if not (table.v[at] == 1).all() or len(np.unique(s)) < n:
+        if not single[j] or not (table.v[at] == 1).all() or np.array_equal(orbit[s], orbit):
             continue
-        if np.array_equal(orbit[s], orbit) or not _covariant(table, s):
+        if len(np.unique(s)) < n or not _translates(s, g, add, d_col, n_col) or not _covariant(table, s):
             continue
         for x, y in enumerate(s):
             x, y = sorted((find(x), find(y)))
@@ -241,11 +281,13 @@ def check_qdim_lower_bound(table: FusionTable) -> CheckResult:
 
 
 def check_duality_pairing(table: FusionTable) -> CheckResult:
-    n = len(table.labels)
-    cells = np.arange(n * n) * n + _unit(table)
-    wrong = table.at(cells) != np.eye(n, dtype=np.int64)[table.dual].reshape(-1)
+    n, unit, d = len(table.labels), _unit(table), table.dual
+    at = table.c == unit
+    cells = (np.arange(n) * n + d) * n + unit  # the cells (a, dual a; unit)
+    off = table.v[at] != (table.b[at] == d[table.a[at]])
+    wrong = np.concatenate([table.cells[at][off], cells[table.at(cells) == 0]])
     detail = lambda k, s: f"N({s[0]}, {s[1]}; unit) = {int(table.at(k))}"
-    return _witness(table, "duality_pairing", cells[wrong], detail)
+    return _witness(table, "duality_pairing", wrong, detail)
 
 
 def check_dual_antiautomorphism(table: FusionTable) -> CheckResult:
@@ -314,25 +356,21 @@ def check_nondiag_unified_vs_literal(table: FusionTable) -> CheckResult:
 
     One row ``N(lam, mu)`` at a time, every ``N(gam, dlt)`` at once: each
     case is a mask over the ``gam, dlt``, and each covered orientation's
-    expected row must equal the table's.
+    expected row must equal the table's.  Only the NonDiag orbit
+    representatives are swept, and exactly: a current ``s`` used there is the
+    literal translation by some ``g``, under which the table is covariant, so
+    row ``s i`` is row ``i`` moved by ``s``; all four coset sums move by
+    ``g``, so the case masks stay and the expected row moves by ``s`` too.
+    The failing rows, each with the same failing partners, are thus a union
+    of orbits, and the first is a representative.
     """
-    lat = table.lattice
-    reps = lat.dual_mod_lattice
-    coset = {r: c for c, r in enumerate(reps)}
-    # the table's column of D(c; eps) and of N(u, v) = N(v, u), by coset index
-    d_col = np.array([[table.index[Diag(r, eps)] for eps in (0, 1)] for r in reps])
-    n_col = np.zeros((len(reps), len(reps)), dtype=np.intp)
-    for u, v in zip(*np.triu_indices(len(reps), 1)):
-        n_col[u, v] = n_col[v, u] = table.index[NonDiag(reps[u], reps[v])]
-    disc = lat.discriminant
-    add = lat.coset_index((disc[:, None] + disc) % lat.divisors).astype(np.intp)
-    nd = np.array([i for i, m in enumerate(table.labels) if isinstance(m, NonDiag)], dtype=np.intp)
-    cosets = [[coset[table.labels[j].lam], coset[table.labels[j].mu]] for j in nd]
-    gam, dlt = np.array(cosets, dtype=np.intp).reshape(-1, 2).T
+    add, d_col, n_col = _coset_columns(table)
+    gam, dlt = np.triu_indices(len(add), 1)
+    nd = n_col[gam, dlt]  # the NonDiag labels N(gam, dlt), in label order
     n = len(table.labels)
     offset = np.arange(len(nd)) * n  # of each NonDiag row in a flattened expected block
-    for i in nd:
-        lam, mu = coset[table.labels[i].lam], coset[table.labels[i].mu]
+    for k in np.flatnonzero(np.isin(nd, _orbit_representatives(table))):
+        i, lam, mu = nd[k], gam[k], dlt[k]
         lg, md, mg, ld = add[lam, gam], add[mu, dlt], add[mu, gam], add[lam, dlt]
         # swapping lam with mu, or gam with dlt, permutes the four sums
         orientations = [(lg, md, mg, ld), (mg, ld, lg, md), (ld, mg, md, lg), (md, lg, ld, mg)]
@@ -384,9 +422,7 @@ def run_checks(table: FusionTable) -> List[CheckResult]:
 
 def verify(lat: GramLattice) -> Report:
     """Run the whole suite; failures are report entries, never exceptions."""
-    # peak RSS above the import baseline, measured at l = 16, 20, 24 and 32,
-    # is 9, 17, 31 and 81 MB (1.5, 0.9, 0.63 and 0.35 n^3 bytes): it grows
-    # with the about 2 n^2 entries, so 4 n^3, fitted to the dense table this
-    # no longer builds, is far above it at every l it admits (l <= 41)
-    guard_memory("verify", labels_size(lat), 4 * label_count(lat) ** 3)
+    # peak RSS above the import baseline, per table entry: 109, 123 and 228
+    # bytes at l = 64 on ranks 1, 4 and 6, 104 at l = 80 on rank 1
+    guard_memory("verify", labels_size(lat), entry_count(lat) * (90 + 25 * lat.dim))
     return Report(lat, run_checks(fusion_table(lat)))

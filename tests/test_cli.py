@@ -223,23 +223,31 @@ class TestRun:
         assert len(doc["labels"]) == 9
         assert len(doc["products"]) == 81
 
-    def test_table_guard_exit_code(self, capsys, tmp_path):
+    def test_table_guard_exit_code(self, capsys, tmp_path, monkeypatch):
+        # the table of l = 64 fits, its JSON document would not
+        def no_table(lat):
+            raise AssertionError("fusion_table called")
+
+        monkeypatch.setattr(permorb.cli, "fusion_table", no_table)
         path = tmp_path / "z64.json"
         path.write_text(json.dumps({"gram": [[64]]}))
-        assert run(["table", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: the fusion table for l = 64 (n = 2272 labels)")
+        assert run(["table", str(path), "--json"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: table --json for l = 64 (n = 2272 labels) needs about 14.6 GiB, above the limit of 4 GiB\n",
+        )
 
     def test_verify_guard_before_table(self, capsys, tmp_path, monkeypatch):
-        # l = 42, the first l refused: the table alone would fit, verify would not
+        # l = 90, the first l refused at rank 1: the table alone would fit, verify would not
         def no_table(lat):
             raise AssertionError("fusion_table called")
 
         monkeypatch.setattr(permorb.verify, "fusion_table", no_table)
-        path = tmp_path / "z42.json"
-        path.write_text(json.dumps({"gram": [[42]]}))
+        path = tmp_path / "z90.json"
+        path.write_text(json.dumps({"gram": [[90]]}))
         assert run(["verify", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: verify for l = 42 (n = 1029 labels) needs about 4.1 GiB, above the limit of 4 GiB\n"
+            "error: verify for l = 90 (n = 4365 labels) needs about 4.1 GiB, above the limit of 4 GiB\n"
         )
 
     @pytest.mark.parametrize(
@@ -279,17 +287,21 @@ class TestRun:
             ("qdims", True, 2927),
             ("decompose", False, 19),
             ("decompose", True, 18),
+            ("table", False, 79),
+            ("table", "csv", 75),
+            ("table", True, 45),
         ],
     )
     def test_output_guard_cutoffs(self, command, as_json, last):
-        # stand-ins with the two attributes the guard reads: a listing is
-        # sized by l at rank 1, a decomposition by the rank d of diag(2)^d
+        # stand-ins with the two attributes the guard reads: a listing or a
+        # table is sized by l at rank 1, a decomposition by the rank d of
+        # diag(2)^d
         def lattice(size):
             if command == "decompose":
                 return SimpleNamespace(det=2**size, dim=size)
             return SimpleNamespace(det=size, dim=1)
 
-        args = SimpleNamespace(command=command, json=as_json)
+        args = SimpleNamespace(command=command, json=as_json is True, csv=as_json == "csv")
         _guard_output(lattice(last), args)
         with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
             _guard_output(lattice(last + 1), args)

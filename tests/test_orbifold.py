@@ -1,5 +1,7 @@
+import gc
 import importlib
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -26,8 +28,6 @@ from permorb.orbifold import (
     fuse_orbifold,
     fusion_table,
     glob,
-    guard_memory,
-    label_count,
     induce,
     label_sort_key,
     nondiag,
@@ -342,18 +342,24 @@ class TestFuseExamples:
 
 class TestFusionTable:
     def test_guard(self):
-        # l = 64 has n = 2272 labels, an int16 cube of 21.8 GiB
-        with pytest.raises(TableTooLarge, match=r"l = 64 \(n = 2272 labels\) needs about 21\.8 GiB"):
-            fusion_table(validate_lattice([[64]]))
+        # l = 102, past the last l admitted at rank 1, has n = 5559 labels
+        # and about 2 n^2 = 61.8 M entries at 75 bytes each
+        with pytest.raises(TableTooLarge, match=r"l = 102 \(n = 5559 labels\) needs about 4\.3 GiB"):
+            fusion_table(validate_lattice([[102]]))
 
-    @pytest.mark.parametrize("cube_bytes,last_l", [(2, 47), (4, 41)])
-    def test_guard_cutoffs(self, cube_bytes, last_l):
-        # the estimate reads l alone: the table (2 n^3 bytes) fits up to
-        # l = 47, verify (4 n^3 bytes) up to l = 41
-        need = lambda l: cube_bytes * label_count(SimpleNamespace(det=l)) ** 3
-        guard_memory("this", "l", need(last_l))
+    @pytest.mark.parametrize(
+        "guarded,dim,last_l", [(fusion_table, 1, 100), (fusion_table, 6, 79), (verify, 1, 89), (verify, 6, 73)]
+    )
+    def test_guard_cutoffs(self, guarded, dim, last_l):
+        # the estimate reads l and the rank d alone: a + b*d bytes for each
+        # of the about 2 n^2 entries.  A stand-in with just those two
+        # attributes gets past an admitting guard and fails on the first
+        # attribute the work reads
+        lattice = lambda l: SimpleNamespace(det=l, dim=dim)
+        with pytest.raises(AttributeError):
+            guarded(lattice(last_l))
         with pytest.raises(TableTooLarge, match=r"above the limit of 4 GiB"):
-            guard_memory("this", "l", need(last_l + 1))
+            guarded(lattice(last_l + 1))
 
     def test_tensor_shape_and_symmetry(self, a1):
         table = fusion_table(a1)
@@ -651,6 +657,69 @@ def dense_associativity(table):
     return True, ""
 
 
+def dense_nondiag(table):
+    """The sweep of every NonDiag row against the literal case split, kept as
+    the reference for ``check_nondiag_unified_vs_literal``, which sweeps the
+    orbit representatives only; returns ``(passed, detail)``."""
+    lat = table.lattice
+    reps = lat.dual_mod_lattice
+    coset = {r: c for c, r in enumerate(reps)}
+    d_col = np.array([[table.index[Diag(r, eps)] for eps in (0, 1)] for r in reps])
+    n_col = np.zeros((len(reps), len(reps)), dtype=np.intp)
+    for u, v in zip(*np.triu_indices(len(reps), 1)):
+        n_col[u, v] = n_col[v, u] = table.index[NonDiag(reps[u], reps[v])]
+    disc = lat.discriminant
+    add = lat.coset_index((disc[:, None] + disc) % lat.divisors).astype(np.intp)
+    nd = np.array([i for i, m in enumerate(table.labels) if isinstance(m, NonDiag)], dtype=np.intp)
+    cosets = [[coset[table.labels[j].lam], coset[table.labels[j].mu]] for j in nd]
+    gam, dlt = np.array(cosets, dtype=np.intp).reshape(-1, 2).T
+    n = len(table.labels)
+    offset = np.arange(len(nd)) * n
+    for i in nd:
+        lam, mu = coset[table.labels[i].lam], coset[table.labels[i].mu]
+        lg, md, mg, ld = add[lam, gam], add[mu, dlt], add[mu, gam], add[lam, dlt]
+        orientations = [(lg, md, mg, ld), (mg, ld, lg, md), (ld, mg, md, lg), (md, lg, ld, mg)]
+        expected = np.zeros((4, len(nd), n), dtype=np.int16)
+        covered, cells = [], []
+        for o, (x, y, z, w) in enumerate(orientations):
+            same1, same2 = x == y, z == w
+            covered.append(~same1 | same2)
+            terms = [(same1 & same2, d_col[x, 0]), (same1 & same2, d_col[x, 1])]
+            terms += [(same2, d_col[z, 0]), (same2, d_col[z, 1])]
+            terms += [(~same1, n_col[x, y]), (~same1 & ~same2, n_col[z, w])]
+            cells += [o * len(nd) * n + (offset + col)[mask] for mask, col in terms]
+        np.add.at(expected.reshape(-1), np.concatenate(cells), 1)
+        got = table.tensor[i, nd]
+        bad = (np.array(covered) & (expected != got).any(2)).any(0)
+        if bad.any():
+            names = f"{format_label(table.labels[i])} x {format_label(table.labels[nd[bad.argmax()]])}"
+            return False, f"{names}: literal case split disagrees with the unified rule"
+    return True, ""
+
+
+def dense_identity(table):
+    """The reference for ``check_identity``: the unit's row against the identity matrix."""
+    t, n = table.tensor, len(table.labels)
+    unit = table.index[Diag(table.lattice.dual_mod_lattice[0], 0)]
+    rows = (t[a] != np.eye(n) if a == unit else np.zeros((n, n), dtype=bool) for a in range(n))
+    return dense_sweep(table, rows, lambda i, s: f"unit x {s[1]} hit {s[2]}")
+
+
+def dense_duality_pairing(table):
+    """The reference for ``check_duality_pairing``: the unit's column of
+    every pair against the permutation matrix of the duals."""
+    t, n = table.tensor, len(table.labels)
+    unit = table.index[Diag(table.lattice.dual_mod_lattice[0], 0)]
+    wrong = t[:, :, unit] != np.eye(n)[table.dual]
+
+    def row(a):
+        out = np.zeros((n, n), dtype=bool)
+        out[:, unit] = wrong[a]
+        return out
+
+    return dense_sweep(table, map(row, range(n)), lambda i, s: f"N({s[0]}, {s[1]}; unit) = {int(t[i])}")
+
+
 def dense_sweep(table, rows, detail):
     """``(passed, detail)`` of a sweep over the per-row masks ``rows`` of the
     dense table: ``detail(idx, names)`` for the first true entry in row
@@ -823,6 +892,100 @@ class TestAssociativityReduction:
         assert len(_orbit_representatives(table)) == count
 
 
+def relabelled(table, p, q):
+    """``table`` with the labels ``p`` and ``q`` traded in all three slots:
+    an isomorphic ring, on which the simple currents stay covariant but no
+    longer act on ``p`` and ``q`` as coset translations."""
+    perm = np.arange(len(table.labels))
+    perm[[p, q]] = [q, p]
+
+    def swap(t):
+        t[...] = table.tensor[np.ix_(perm, perm, perm)]
+
+    return edited(table, swap)
+
+
+class TestNondiagReduction:
+    @pytest.mark.parametrize("name", EQUIVALENCE_GRAMS)
+    def test_matches_full_sweep_on_corrupted_tables(self, name):
+        # a value written into an N x N cell of a row that is not swept, into
+        # it and its transpose, or into its whole orbit under the currents in
+        # both slots, which keeps the table covariant; or two NonDiag labels
+        # traded, a ring that the literal split rejects
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        assert dense_nondiag(table) == (True, "")
+        nd = [i for i, m in enumerate(table.labels) if isinstance(m, NonDiag)]
+        swept = set(_orbit_representatives(table).tolist())
+        rows = [i for i in nd if i not in swept] or nd
+        currents = [table.tensor[j].argmax(1) for j, m in enumerate(table.labels) if isinstance(m, Diag)]
+        rng = random.Random(f"nondiag-{name}")
+        verdicts = Counter()
+        for case in range(24):
+            if case % 4 == 3:
+                if len(nd) < 2:
+                    continue
+                corrupted = relabelled(table, *rng.sample(nd, 2))
+            else:
+                a, b, c = rng.choice(rows), rng.choice(nd), rng.randrange(len(table.labels))
+                value = rng.choice([v for v in (0, 1, 2) if v != table.tensor[a, b, c]])
+                cells = [
+                    [(a, b, c)],
+                    [(a, b, c), (b, a, c)],
+                    [(p[a], q[b], q[p[c]]) for p in currents for q in currents],
+                ][case % 4]
+
+                def write(t):
+                    for at in cells:
+                        t[at] = value
+
+                corrupted = edited(table, write)
+            res = check_nondiag_unified_vs_literal(corrupted)
+            assert (res.passed, res.detail) == dense_nondiag(corrupted), case
+            verdicts[res.passed] += 1
+        assert verdicts[False] and len(swept) < len(table.labels)
+
+
+    @pytest.mark.parametrize("name", ["z6", "z8", "l7"])
+    @pytest.mark.parametrize("kind", [NonDiag, Diag])
+    def test_currents_that_do_not_translate_are_not_used(self, name, kind):
+        # after two labels are traded the currents stay covariant, but the
+        # NonDiag sweep may not rely on one that is no coset translation:
+        # with N labels p and q from different orbits, one that does not map
+        # {p, q} onto itself; with D(x; 0) and D(y; 0), x != y, one that
+        # splits a pair {D(x; 0), D(x; 1)}.  What remains merges no N labels
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        nd = [i for i, m in enumerate(table.labels) if isinstance(m, NonDiag)]
+        currents = [table.tensor[j].argmax(1) for j, m in enumerate(table.labels) if isinstance(m, Diag)]
+        if kind is NonDiag:
+            p = nd[0]
+            q = next(i for i in nd if i not in {s[p] for s in currents})
+        else:
+            p, q = (table.index[Diag(r, 0)] for r in table.lattice.dual_mod_lattice[1:3])
+        swapped = relabelled(table, p, q)
+        assert set(nd) <= set(_orbit_representatives(swapped).tolist())
+        for j in range(2 * table.lattice.det):  # the rows of the currents D(g; eps)
+            assert _covariant(swapped, swapped.tensor[j].argmax(1))
+
+
+class TestRepresentativeCache:
+    def test_searched_once_per_table_and_dropped_with_it(self, monkeypatch):
+        verify_module = importlib.import_module("permorb.verify")
+        search, calls = verify_module._representative_search, Counter()
+
+        def counted(table):
+            calls["search"] += 1
+            return search(table)
+
+        monkeypatch.setattr(verify_module, "_representative_search", counted)
+        table = fusion_table(validate_lattice([[6]]))
+        assert all(r.passed for r in verify_module.run_checks(table))
+        assert calls["search"] == 1
+        alive = weakref.ref(table)
+        del table
+        gc.collect()
+        assert alive() is None
+
+
 class TestRowSweepReferences:
     """The commutativity, dual and multiplicity checks, which read the
     entries, report what row-by-row sweeps of the dense table report."""
@@ -864,3 +1027,30 @@ class TestRowSweepReferences:
         # where every label is self-dual, a write cannot break the dual check
         self_dual = np.array_equal(d, np.arange(len(d)))
         assert len(verdicts) == 6 - self_dual, verdicts
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_GRAMS)
+    def test_unit_checks_match_dense_slices(self, name):
+        # one to three cells of the unit's row, or of the unit's column of a
+        # pair, get a new value
+        table = fusion_table(validate_lattice(EQUIVALENCE_GRAMS[name]))
+        n, unit = len(table.labels), table.index[Diag(table.lattice.dual_mod_lattice[0], 0)]
+        rng = random.Random(f"unit-checks-{name}")
+        pairs = [(check_identity, dense_identity), (check_duality_pairing, dense_duality_pairing)]
+        verdicts = Counter()
+        for case in range(24):
+            writes = []
+            for _ in range(1 + case % 3):
+                a, b = rng.randrange(n), rng.randrange(n)
+                at = (unit, a, b) if rng.random() < 0.5 else (a, b, unit)
+                writes.append((at, rng.choice([-1, 0, 1, 2])))
+
+            def write(t):
+                for at, value in writes:
+                    t[at] = value
+
+            corrupted = edited(table, write)
+            for check, reference in pairs:
+                res = check(corrupted)
+                assert (res.passed, res.detail) == reference(corrupted), (check.__name__, writes)
+                verdicts[check.__name__, res.passed] += 1
+        assert len(verdicts) == 4, verdicts
