@@ -32,7 +32,10 @@ from . import __version__
 from .errors import ParseError, PermorbError
 from .lattice import GramLattice, Vector, validate_lattice
 from .orbifold import (
+    Diag,
+    NonDiag,
     OrbifoldLabel,
+    Twisted,
     decompose_module,
     diag,
     entry_count,
@@ -46,7 +49,7 @@ from .orbifold import (
     qdims_by_kind,
     twisted,
 )
-from .render import format_label, format_qdim, label_json, vl_json, vlplus_json
+from .render import format_label, format_qdim, label_json, label_names, vl_json, vlplus_json
 from .verify import verify
 
 __all__ = ["parse_label", "load_gram", "run", "main"]
@@ -161,36 +164,39 @@ def _print_json(doc: dict) -> None:
 
 
 def _print_lines(lines: Iterable[str]) -> None:
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    lines = list(lines)
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_modules(args) -> int:
     lat = load_gram(args.gram)
     _guard_output(lat, args)
-    mods = enumerate_modules(lat)
     if args.json:
+        mods = enumerate_modules(lat)
         _print_json(
             {
                 "dim": lat.dim,
                 "det": lat.det,
                 "count": len(mods),
-                "modules": [label_json(m) | {"label": format_label(m)} for m in mods],
+                "modules": [label_json(m) | {"label": name} for m, name in zip(mods, label_names(lat))],
             }
         )
     else:
-        _print_lines(map(format_label, mods))
+        _print_lines(label_names(lat))
     return 0
 
 
 def _cmd_qdims(args) -> int:
     lat = load_gram(args.gram)
     _guard_output(lat, args)
-    text = {kind: format_qdim(q, lat.det) for kind, q in qdims_by_kind(lat).items()}
-    rows = [(format_label(m), text[type(m)]) for m in enumerate_modules(lat)]
+    qdims = qdims_by_kind(lat)
+    # the qdim text of each kind letter, the first letter of a label
+    text = {k: format_qdim(qdims[kind], lat.det) for k, kind in (("D", Diag), ("N", NonDiag), ("T", Twisted))}
     if args.json:
-        _print_json({"det": lat.det, "qdims": [{"label": lab, "qdim": q} for lab, q in rows]})
+        _print_json({"det": lat.det, "qdims": [{"label": lab, "qdim": text[lab[0]]} for lab in label_names(lat)]})
     else:
-        _print_lines(f"{lab}  {q}" for lab, q in rows)
+        _print_lines(label_names(lat, {k: "  " + q for k, q in text.items()}))
     return 0
 
 
@@ -237,7 +243,7 @@ def _cmd_table(args) -> int:
     lat = load_gram(args.gram)
     _guard_output(lat, args)
     table = fusion_table(lat)
-    names = [format_label(m) for m in table.labels]
+    names = label_names(lat)
     rows = _table_rows(table, names)
     if args.csv:
         buf = io.StringIO()

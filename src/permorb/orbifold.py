@@ -37,9 +37,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product, starmap
 from operator import mul, sub
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -64,6 +64,7 @@ __all__ = [
     "diag",
     "nondiag",
     "twisted",
+    "in_label_order",
     "enumerate_modules",
     "decompose_module",
     "induce",
@@ -103,6 +104,8 @@ class Twisted:
 
 OrbifoldLabel = Union[Diag, NonDiag, Twisted]
 Key = Tuple[str, Tuple[int, ...], object]
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class Keys(NamedTuple):
@@ -234,20 +237,20 @@ def _add(*vs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(map(sum, zip(*vs)))
 
 
+def in_label_order(
+    reps: Sequence[T], d: Callable[[T, int], R], n: Callable[[T, T], R], t: Callable[[T, int], R]
+) -> List[R]:
+    """``d(x, eps)``, ``n(x, y)`` and ``t(x, eps)`` over the classes ``reps``
+    of ``L*/L``, in the global label order: every ``x`` with both parities,
+    then every pair ``x`` before ``y`` in ``reps``, then every ``x`` with both
+    parities again.  The one definition of that order."""
+    both = list(product(reps, (0, 1)))
+    return [*starmap(d, both), *starmap(n, combinations(reps, 2)), *starmap(t, both)]
+
+
 def enumerate_modules(lat: GramLattice) -> List[OrbifoldLabel]:
     """The complete duplicate-free list of irreducible labels, in order."""
-    reps = lat.dual_mod_lattice
-    out: List[OrbifoldLabel] = []
-    for lam in reps:
-        for eps in (0, 1):
-            out.append(Diag(lam, eps))
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            out.append(NonDiag(reps[i], reps[j]))
-    for lam in reps:
-        for eps in (0, 1):
-            out.append(Twisted(lam, eps))
-    return out
+    return in_label_order(lat.dual_mod_lattice, Diag, NonDiag, Twisted)
 
 
 def decompose_module(lat: GramLattice, m: OrbifoldLabel) -> List[Tuple[VlLabel, VlPlusLabel]]:

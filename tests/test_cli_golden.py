@@ -11,7 +11,9 @@ import json
 
 import pytest
 
-from permorb.cli import run
+from permorb import cli, render
+from permorb.cli import load_gram, run
+from permorb.orbifold import enumerate_modules
 
 from conftest import GRAMS
 
@@ -323,15 +325,71 @@ GOLDEN = {
     ("l180", "qdims --json"): "e068365fa1fc8fd66d9454e9a505c7a8e9c5949fdfb55662cc635feee8346fe9",
     ("z1000", "qdims"): "e5b7c77790adf02bebc5d683920a20644e43b3734fd01cdfa0fb8da1d42f4749",
     ("z1000", "qdims --json"): "9a1c43f35115d2b8b4a399c5098502d5f54b7a44135c8aee2651a0f42c3f2811",
+    # the full listings of the three largest query lattices: l = 180 on a
+    # non-identity Smith basis, l = 200 and a1x6 (rank 6, l = 64)
+    ("l180", "modules"): "1d5e01cd02710ad455b099016cafe605b416969695c597baadc2f3703d709546",
+    ("l180", "modules --json"): "37dafdb9f91019f1b2b7dbf985c0e6684cde1bc06fa1b13be6d0f5b1f232691d",
+    ("z200", "modules"): "c646e4739d43634cc26b7c35c40a8ec1181fcd0a99ddccabfa943e0478ea8115",
+    ("z200", "modules --json"): "d4e0ab54f16643b01798907995b7507c991f007ce70bbc77653ddeeb26d824b7",
+    ("z200", "qdims"): "a20b44e3324c3affef6deafc00d19686247388d5e3bafbe8e08b8fc5bd1ae666",
+    ("z200", "qdims --json"): "bc2115572e61c1784d61b9198e3509e51d4063c6e6640da45f3e4337a3222b4c",
+    ("a1x6", "modules"): "dcf331851beaff2762b09acaac61383e012b67468638ffcc0c155a0b07993443",
+    ("a1x6", "modules --json"): "14f1c50840674586ec968474b829edf622900b4879ddf8d5cce42d3e4f2543e5",
 }
+
+
+def _gram_file(tmp_path, name) -> str:
+    path = tmp_path / f"{name}.json"
+    gram = EXTRA_GRAMS[name] if name in EXTRA_GRAMS else GRAMS[name][0]
+    path.write_text(json.dumps({"gram": gram}))
+    return str(path)
 
 
 @pytest.mark.parametrize("name,command", sorted(GOLDEN), ids=lambda v: v.replace(" ", ""))
 def test_stdout_digest(name, command, tmp_path, capsys):
-    path = tmp_path / f"{name}.json"
-    gram = EXTRA_GRAMS[name] if name in EXTRA_GRAMS else GRAMS[name][0]
-    path.write_text(json.dumps({"gram": gram}))
     sub, *flags = command.split()
-    assert run([sub, str(path), *flags]) == 0
+    assert run([sub, _gram_file(tmp_path, name), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(name, command)]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _command in GOLDEN}))
+def test_label_names_match_format_label(name, tmp_path):
+    lat = load_gram(_gram_file(tmp_path, name))
+    assert render.label_names(lat) == [render.format_label(m) for m in enumerate_modules(lat)]
+
+
+# ``table`` on l180 is refused by its size guard, so it is counted on odd7
+@pytest.mark.parametrize(
+    "name,command",
+    [
+        ("l180", "modules"),
+        ("l180", "modules --json"),
+        ("l180", "qdims"),
+        ("l180", "qdims --json"),
+        ("odd7", "table"),
+        ("odd7", "table --csv"),
+        ("odd7", "table --json"),
+    ],
+    ids=lambda v: v.replace(" ", ""),
+)
+def test_listings_format_each_class_once(name, command, tmp_path, capsys, monkeypatch):
+    calls = {"format_vector": 0, "format_label": 0}
+
+    def counted(f):
+        def wrapper(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(render, "format_vector", counted(render.format_vector))
+    format_label = counted(render.format_label)
+    for mod in (render, cli):
+        monkeypatch.setattr(mod, "format_label", format_label)
+    path = _gram_file(tmp_path, name)
+    sub, *flags = command.split()
+    assert run([sub, path, *flags]) == 0
+    assert capsys.readouterr().out
+    assert calls["format_vector"] <= load_gram(path).det
+    assert calls["format_label"] == 0
