@@ -25,10 +25,10 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .characters import SignCharacter, chi_eval, chi_shift, pi_pairing
-from .lattice import GramLattice, Vector, vec_neg
+from .lattice import GramLattice, Vector
 
 __all__ = [
     "VlLabel",
@@ -36,7 +36,6 @@ __all__ = [
     "Split",
     "TwistedSplit",
     "VlPlusLabel",
-    "nonsplit_of_numerators",
     "is_admissible_triple",
     "fusion_rule_vlplus",
 ]
@@ -73,11 +72,6 @@ class TwistedSplit:
 
 
 VlPlusLabel = Union[NonSplit, Split, TwistedSplit]
-
-
-def nonsplit_of_numerators(lat: GramLattice, k: Sequence[int]) -> NonSplit:
-    """The non-split label of numerators ``k`` (not in ``L``): min(k, -k) mod 2L."""
-    return NonSplit(lat.from_numerators(min(lat.reduce(k, 2), lat.reduce(vec_neg(k), 2)), 2))
 
 
 def is_admissible_triple(lat: GramLattice, lam: Vector, mu: Vector, gam: Vector) -> bool:

@@ -15,7 +15,8 @@ cross terms ``sum_{i<j} n_i n_j <a_i,a_j>``.  Both parities matter
 downstream, so the quadratic variant and the correction sign are exposed
 here as well (``weight_parity_sign`` and ``split_gauge_sign``).  Each rule is
 one integer formula in the pairings ``p = G lam`` and the coordinates ``n``
-of a lattice vector, which the functions on rational vectors wrap.
+of a lattice vector; ``orbifold.constituents`` takes the same formulas mod 2
+over all of ``L/2L`` at once.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ __all__ = [
     "chi_shift",
     "pi_pairing",
     "weight_parity_sign",
-    "weight_parity",
     "split_gauge_sign",
-    "gauge_sign",
     "format_character",
 ]
 
@@ -87,11 +86,6 @@ def pi_pairing(lat: GramLattice, lam: Vector, mu: Vector) -> int:
     return _sign(t.numerator)
 
 
-def weight_parity(lat: GramLattice, p: Sequence[int], n: Sequence[int]) -> int:
-    """``weight_parity_sign`` from ``p = G lam`` and the coordinates ``n`` of ``alpha``."""
-    return _sign(sum(map(mul, p, n)) + _half_norm(lat, n))
-
-
 def weight_parity_sign(lat: GramLattice, lam: Vector, alpha: Vector) -> int:
     """The sign ``(-1)^(<lam,alpha> + <alpha,alpha>/2)`` for ``alpha`` in ``L``.
 
@@ -102,12 +96,7 @@ def weight_parity_sign(lat: GramLattice, lam: Vector, alpha: Vector) -> int:
     ``alpha`` mod ``2L`` and on ``lam`` mod ``2L*``.
     """
     n = _lattice_coords(lat, alpha, "weight parity is defined for lattice translations")
-    return weight_parity(lat, lat.pairings(lam), n)
-
-
-def gauge_sign(lat: GramLattice, n: Sequence[int]) -> int:
-    """``split_gauge_sign`` on the basis coordinates ``n`` of ``alpha``."""
-    return _sign(_half_norm(lat, n) - sum(c * c * lat.gram[i][i] // 2 for i, c in enumerate(n)))
+    return _sign(sum(map(mul, lat.pairings(lam), n)) + _half_norm(lat, n))
 
 
 def split_gauge_sign(lat: GramLattice, alpha: Vector) -> int:
@@ -122,7 +111,8 @@ def split_gauge_sign(lat: GramLattice, alpha: Vector) -> int:
     for any ``lam``.  Trivial whenever all off-diagonal Gram entries are
     even (in particular in rank 1).
     """
-    return gauge_sign(lat, _lattice_coords(lat, alpha, "gauge sign is defined on lattice vectors"))
+    n = _lattice_coords(lat, alpha, "gauge sign is defined on lattice vectors")
+    return _sign(_half_norm(lat, n) - sum(c * c * lat.gram[i][i] // 2 for i, c in enumerate(n)))
 
 
 def format_character(chi: SignCharacter) -> str:

@@ -31,16 +31,19 @@ from typing import Iterable, Sequence
 from . import __version__
 from .errors import ParseError, PermorbError
 from .lattice import GramLattice, Vector, validate_lattice
+# perfbench/layers.py wraps enumerate_modules, fuse_orbifold and decompose_module here
 from .orbifold import (
     Diag,
     NonDiag,
     OrbifoldLabel,
     Twisted,
+    constituents,
     decompose_module,
     diag,
     entry_count,
     enumerate_modules,
     fuse_orbifold,
+    fusion_keys,
     fusion_table,
     guard_memory,
     label_count,
@@ -49,7 +52,7 @@ from .orbifold import (
     qdims_by_kind,
     twisted,
 )
-from .render import format_label, format_qdim, label_json, label_names, vl_json, vlplus_json
+from .render import constituent_docs, format_keys, format_label, format_qdim, label_docs, label_names
 from .verify import verify
 
 __all__ = ["parse_label", "load_gram", "run", "main"]
@@ -59,6 +62,8 @@ _LABEL_RE = re.compile(r"^\s*([DNT])\(([^()]*)\)\s*$")
 _EXPONENT_RE = re.compile(r"[\d.][eE][-+]?\d")
 # longest repr of a rejected Gram entry that an error line quotes in full
 _MAX_REPR = 60
+# json.dumps(doc, sort_keys=True) with one encoder for every line
+_JSON_LINE = json.JSONEncoder(sort_keys=True).encode
 # peak bytes per printed item, a + b*d at rank d, by command and format;
 # measured as peak RSS above the import baseline with CPython 3.11: labels on
 # [[1000]] and diag(2)^8, constituents on diag(2)^d for d = 8, 12 and 16,
@@ -173,15 +178,8 @@ def _cmd_modules(args) -> int:
     lat = load_gram(args.gram)
     _guard_output(lat, args)
     if args.json:
-        mods = enumerate_modules(lat)
-        _print_json(
-            {
-                "dim": lat.dim,
-                "det": lat.det,
-                "count": len(mods),
-                "modules": [label_json(m) | {"label": name} for m, name in zip(mods, label_names(lat))],
-            }
-        )
+        mods = label_docs(lat)
+        _print_json({"dim": lat.dim, "det": lat.det, "count": len(mods), "modules": mods})
     else:
         _print_lines(label_names(lat))
     return 0
@@ -204,7 +202,8 @@ def _cmd_fuse(args) -> int:
     lat = load_gram(args.gram)
     a = parse_label(lat, args.a)
     b = parse_label(lat, args.b)
-    out = [(format_label(c), mult) for c, mult in fuse_orbifold(lat, a, b).items()]
+    keys, mults = zip(*fusion_keys(lat, a, b))
+    out = list(zip(format_keys(lat, keys), mults))
     if args.json:
         _print_json(
             {
@@ -222,11 +221,11 @@ def _cmd_decompose(args) -> int:
     lat = load_gram(args.gram)
     _guard_output(lat, args)
     m = parse_label(lat, args.label)
-    summands = [{"vl": vl_json(v), "vlplus": vlplus_json(p)} for v, p in decompose_module(lat, m)]
+    summands = constituent_docs(lat, constituents(lat, m))
     if args.json:
         _print_json({"label": format_label(m), "summands": summands})
     else:
-        _print_lines(json.dumps(doc, sort_keys=True) for doc in summands)
+        _print_lines(map(_JSON_LINE, summands))
     return 0
 
 

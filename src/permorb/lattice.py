@@ -15,10 +15,10 @@ integral.  Its class in ``L*/L`` (``L*/2L``) is ``k`` reduced mod ``d_j``
 (mod ``2 d_j``), and the canonical representative of a class is ``V y`` for
 the reduced numerators.  Lexicographic order of reduced numerators is the
 global Smith order.  ``L*/L`` is a plain tuple of canonical representatives
-enumerated in it (``dual_mod_lattice``); ``L/2L`` is kept only as the
-integer pairs ``(V y, D y)`` for ``y`` in ``{0,1}^d``
-(``lattice_mod_two_ints``), and ``L*/2L`` is not enumerated.  The bilinear
-form on numerators is the integer matrix ``smith_gram``.
+enumerated in it (``dual_mod_lattice``); ``L/2L`` is kept only as arrays
+over ``y`` in ``{0,1}^d``: the numerators ``D y`` and the parities and signs
+the sign rules read (``lattice_mod_two``); ``L*/2L`` is not enumerated.
+The bilinear form on numerators is the integer matrix ``smith_gram``.
 
 For array code ``L*/L`` has one numeric form: the ``l x d`` array
 ``discriminant`` of reduced numerators in Smith order, whose row number is
@@ -207,10 +207,14 @@ class GramLattice:
         # them provably fits, else object (exact Python integers).  Those are
         # numerators k below 3 d_j in magnitude, the form (k - lam)^T W (k + lam)
         # of weight_flip, at most 12 sum_ij |W_ij| d_i d_j with every partial
-        # sum below it, and label indices below 4 l^2.
+        # sum below it, label indices below 4 l^2, and the scaled
+        # representatives, below 2 e sum_j |V_ij|.
         quad = 12 * sum(abs(w) * a * b for row, a in zip(self.smith_gram, divs) for w, b in zip(row, divs))
-        self.int_dtype = np.dtype(np.int64 if max(quad, 4 * self.det**2) < 2**62 else object)
+        rep = 2 * e * max(sum(map(abs, row)) for row in v)
+        self.int_dtype = np.dtype(np.int64 if max(quad, 4 * self.det**2, rep) < 2**62 else object)
         self.divisors = self.as_rows(divs)
+        # column j of V times e / d_j, transposed: numerators k map to e V y, y_j = k_j / d_j
+        self._scaled_v = self.as_rows([[c * e // a for c, a in zip(row, divs)] for row in v]).T
         self._smith_gram_rows = self.as_rows(self.smith_gram)
         self._radix = self.as_rows([math.prod(divs[j + 1 :]) for j in range(d)])
 
@@ -245,8 +249,13 @@ class GramLattice:
         """The canonical representative of the class of numerators ``k`` in
         ``L*/mL`` (``m`` is 1 or 2): ``V y`` with ``y_j = (k_j mod m d_j)/d_j``."""
         e = self.elementary_divisors[-1]
-        ints = [c * (e // d) for c, d in zip(self.reduce(k, m), self.elementary_divisors)]
-        return tuple(Fraction(sum(map(mul, row, ints)), e) for row in self._v)
+        ints = [c % (m * d) * (e // d) for c, d in zip(k, self.elementary_divisors)]
+        return tuple([Fraction(sum(map(mul, row, ints)), e) for row in self._v])
+
+    def scaled_representatives(self, k: np.ndarray, m: int = 1) -> np.ndarray:
+        """``e`` times ``from_numerators(k, m)`` for each row ``k`` of
+        numerators, with ``e = d_d``: the representatives as integer rows."""
+        return self.as_rows(k) % (m * self.divisors) @ self._scaled_v
 
     # -- L*/L as arrays -------------------------------------------------------
 
@@ -309,13 +318,17 @@ class GramLattice:
         return tuple(self.from_numerators(k) for k in product(*map(range, self.elementary_divisors)))
 
     @cached_property
-    def lattice_mod_two_ints(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-        """``L/2L`` as integers: for each ``y`` in ``{0,1}^d``, in lexicographic
-        order, its representative's coordinates ``n = V y`` and numerators ``k = D y``."""
-        return tuple(
-            (tuple(sum(map(mul, row, y)) for row in self._v), tuple(map(mul, self.elementary_divisors, y)))
-            for y in product((0, 1), repeat=self.dim)
-        )
+    def lattice_mod_two(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``L/2L`` as arrays, one entry per ``y`` in ``{0,1}^d`` in lexicographic
+        order: the numerators ``D y`` of its representative ``alpha = V y``, the
+        parities of the coordinates ``n = V y`` and of the cross terms
+        ``sum_{i<j} n_i n_j <a_i,a_j>`` of ``<alpha,alpha>/2``, and the signs
+        ``(-1)^<alpha,a_i>``."""
+        y = np.indices((2,) * self.dim).reshape(self.dim, -1).T
+        n = y @ np.array([[c % 2 for c in row] for row in self._v]).T % 2
+        g = [[c % 2 for c in row] for row in self.gram]
+        upper = [[c * (i < j) for j, c in enumerate(row)] for i, row in enumerate(g)]  # the terms i < j
+        return y * self.divisors, n, (n @ upper * n).sum(-1) % 2, 1 - 2 * (n @ g % 2)
 
 
 def validate_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:

@@ -38,23 +38,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product, starmap
-from operator import mul, sub
+from operator import sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .base import (
-    NonSplit,
-    Split,
-    TwistedSplit,
-    VlLabel,
-    VlPlusLabel,
-    fusion_rule_vlplus,
-    nonsplit_of_numerators,
-)
-from .characters import chi_of_lambda, chi_of_pairings, chi_shift, gauge_sign, split_gauge_sign, weight_parity
+from .base import NonSplit, Split, TwistedSplit, VlLabel, VlPlusLabel, fusion_rule_vlplus
+from .characters import chi_of_lambda, chi_of_pairings, chi_shift, split_gauge_sign
 from .errors import DegeneratePair, TableTooLarge
-from .lattice import GramLattice, Modulus, Vector, canonicalize, vec_neg, vector
+from .lattice import GramLattice, Modulus, Vector, canonicalize, vec_neg
 
 __all__ = [
     "Diag",
@@ -66,11 +58,14 @@ __all__ = [
     "twisted",
     "in_label_order",
     "enumerate_modules",
+    "Constituents",
+    "constituents",
     "decompose_module",
     "induce",
     "qdims_by_kind",
     "glob",
     "dual_orbifold",
+    "fusion_keys",
     "fuse_orbifold",
     "FusionTable",
     "fusion_table",
@@ -233,10 +228,6 @@ def _fuse(lat: GramLattice, kinds: str, xa, ya, xb, yb) -> List[Keys]:
     return out + [Keys("N", at_n, delta[i], other[at_n, i])]
 
 
-def _add(*vs: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(map(sum, zip(*vs)))
-
-
 def in_label_order(
     reps: Sequence[T], d: Callable[[T, int], R], n: Callable[[T, T], R], t: Callable[[T, int], R]
 ) -> List[R]:
@@ -253,33 +244,58 @@ def enumerate_modules(lat: GramLattice) -> List[OrbifoldLabel]:
     return in_label_order(lat.dual_mod_lattice, Diag, NonDiag, Twisted)
 
 
-def decompose_module(lat: GramLattice, m: OrbifoldLabel) -> List[Tuple[VlLabel, VlPlusLabel]]:
-    """The 2^d constituents of an orbifold module over the product subalgebra.
+class Constituents(NamedTuple):
+    """The ``2^d`` constituents of a module of kind ``kind`` (``"D"``, ``"N"``
+    or ``"T"``), one row per class of ``L/2L`` in ``lattice_mod_two`` order:
+    ``vl`` the numerators of the ``VlLabel`` mod ``2 d_j``; ``part`` those of
+    the ``Split`` (D) or ``NonSplit`` (N) part, or the ``TwistedSplit``
+    character as signs (T); ``flip`` the parity of the part's sign (D, T)."""
+
+    kind: str
+    vl: np.ndarray
+    part: np.ndarray
+    flip: Optional[np.ndarray]
+
+
+def constituents(lat: GramLattice, m: OrbifoldLabel) -> Constituents:
+    """The constituents of ``m`` over the product subalgebra, as integers.
 
     One per class ``alpha`` of ``L/2L``, on numerators: ``(2 lam + alpha,
     Split(alpha))``, ``(lam + mu + alpha, NonSplit(lam - mu + alpha))`` or
-    ``(lam + alpha, TwistedSplit(chi_{lam + alpha}))``.  The first summand
-    (``alpha = 0``) is the defining constituent used by ``induce``.  The split
-    signs carry the per-coset alignment ``gauge_sign``; without it the vacuum
-    sum would not close under fusion on lattices with odd off-diagonal Gram
-    entries.
+    ``(lam + alpha, TwistedSplit(chi_{lam + alpha}))``.  The split signs carry
+    the per-coset alignment ``split_gauge_sign``; without it the vacuum sum
+    would not close under fusion on lattices with odd off-diagonal Gram
+    entries.  The signs are ``split_gauge_sign`` and ``weight_parity_sign``,
+    read from what ``lattice_mod_two`` keeps for each ``alpha``.
     """
     kind, x, last = label_sort_key(lat, m)
-    p = lat.pairings(m.lam)  # G lam, for the twisted sign rules
-    out: List[Tuple[VlLabel, VlPlusLabel]] = []
-    for n, k in lat.lattice_mod_two_ints:
-        if kind == "N":
-            v = _add(x, last, k)
-            part: VlPlusLabel = nonsplit_of_numerators(lat, _add(x, vec_neg(last), k))
-        elif kind == "D":
-            v = _add(x, x, k)
-            part = Split(vector(n), (-1) ** last * gauge_sign(lat, n))
-        else:
-            v = _add(x, k)
-            p_v = tuple(c + sum(map(mul, row, n)) for c, row in zip(p, lat.gram))  # G (lam + alpha)
-            part = TwistedSplit(chi_of_pairings(lat, p_v), (-1) ** last * weight_parity(lat, p, n))
-        out.append((VlLabel(lat.from_numerators(v, 2)), part))
-    return out
+    k, n, gauge, shift = lat.lattice_mod_two
+    if kind == "N":
+        # lam + mu + alpha, and lam - mu + alpha whose part is the smaller of it and its negative
+        s, t, d2 = [u + v for u, v in zip(x, last)], [u - v for u, v in zip(x, last)], 2 * lat.divisors
+        vl, a = (lat.as_rows([s, t])[:, None] + k) % d2
+        return Constituents(kind, vl, lat.as_rows(list(map(min, a.tolist(), (-a % d2).tolist()))), None)
+    if kind == "D":
+        return Constituents(kind, (lat.as_rows([2 * c for c in x]) + k) % (2 * lat.divisors), k, gauge ^ last)
+    # chi_{lam + alpha} is chi_lam flipped where <alpha, a_i> is odd; mod 2, <lam,alpha> + <alpha,alpha>/2
+    # is the cross terms plus sum_i n_i (<lam,a_i> + <a_i,a_i>/2), whose term i is odd where chi_lam is -1
+    chi = chi_of_pairings(lat, lat.pairings(m.lam))
+    flip = gauge ^ (n @ [s < 0 for s in chi] + last) % 2
+    return Constituents(kind, lat.as_rows(x) + k, shift * chi, flip)
+
+
+def decompose_module(lat: GramLattice, m: OrbifoldLabel) -> List[Tuple[VlLabel, VlPlusLabel]]:
+    """The ``constituents`` of an orbifold module as labels.  The first
+    summand (``alpha = 0``) is the defining constituent used by ``induce``."""
+    c = constituents(lat, m)
+    rows, signs = c.part.tolist(), None if c.flip is None else (1 - 2 * c.flip).tolist()
+    if c.kind == "N":
+        parts: Iterable[VlPlusLabel] = (NonSplit(lat.from_numerators(k, 2)) for k in rows)
+    elif c.kind == "D":
+        parts = map(Split, [lat.from_numerators(k, 2) for k in rows], signs)
+    else:
+        parts = map(TwistedSplit, map(tuple, rows), signs)
+    return [(VlLabel(lat.from_numerators(v, 2)), p) for v, p in zip(c.vl.tolist(), parts)]
 
 
 def induce(lat: GramLattice, w: Tuple[VlLabel, VlPlusLabel]) -> Optional[Twisted]:
@@ -344,13 +360,18 @@ def dual_orbifold(lat: GramLattice, m: OrbifoldLabel) -> OrbifoldLabel:
     return twisted(lat, vec_neg(m.lam), m.eps)
 
 
-def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[OrbifoldLabel, int]:
-    """Fusion product of two orbifold modules, in the global label order;
-    every multiplicity is 1.  The rule runs on a batch of this one pair."""
+def fusion_keys(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> List[Tuple[Key, int]]:
+    """The fusion product of two orbifold modules as ``(key, multiplicity)``
+    pairs in the global label order.  The rule runs on a batch of this one pair."""
     (ka, xa, ya), (kb, xb, yb) = sorted((label_sort_key(lat, m) for m in (a, b)), key=lambda k: k[0])
     rows = [lat.as_rows([v]) for v in (xa, ya, xb, yb)]
-    keys = Counter(_key_tuples(_fuse(lat, ka + kb, *rows)))
-    return {_label(lat, c): mult for c, mult in sorted(keys.items())}
+    return sorted(Counter(_key_tuples(_fuse(lat, ka + kb, *rows))).items())
+
+
+def fuse_orbifold(lat: GramLattice, a: OrbifoldLabel, b: OrbifoldLabel) -> Dict[OrbifoldLabel, int]:
+    """Fusion product of two orbifold modules, in the global label order;
+    every multiplicity is 1."""
+    return {_label(lat, c): mult for c, mult in fusion_keys(lat, a, b)}
 
 
 class FusionTable:
@@ -372,6 +393,8 @@ class FusionTable:
 
     def at(self, cells: np.ndarray) -> np.ndarray:
         """``N`` at the flat indices ``cells``, 0 where the table has no entry."""
+        if not len(self.cells):
+            return np.zeros(np.shape(cells), dtype=np.int64)
         i = np.minimum(np.searchsorted(self.cells, cells), len(self.cells) - 1)
         return np.where(self.cells[i] == cells, self.v[i], 0)
 

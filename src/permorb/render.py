@@ -8,22 +8,25 @@ with ``coords`` a comma-separated list of rationals in lowest terms
 (integers printed without a denominator).  Printed labels re-parse to equal
 canonical labels, and identical inputs produce byte-identical output.
 
-``format_label`` prints one label.  A listing of all ``n = (l^2 + 7l)/2``
-labels (``label_names``) is named from one string per class of ``L*/L``
-instead: each class is formatted once and every name is put together from
-those ``l`` strings, in the order of ``enumerate_modules``.
+``format_label`` prints one label object.  What the command line prints in
+bulk is formatted from integer Smith numerators by ``format_numerators``,
+with no ``Fraction``: label listings (``label_names``, ``label_docs``) from
+one string per class of ``L*/L`` in the order of ``enumerate_modules``, a
+fusion product from its keys and a decomposition from its ``Constituents``.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from .base import NonSplit, Split, VlLabel, VlPlusLabel
+import numpy as np
+
 from .characters import format_character
-from .lattice import GramLattice, Vector, format_vector
-from .orbifold import Diag, NonDiag, OrbifoldLabel, in_label_order
+from .lattice import GramLattice, format_vector
+from .orbifold import Constituents, Diag, Key, NonDiag, OrbifoldLabel, in_label_order
 
-__all__ = ["format_label", "label_names", "format_qdim", "label_json", "vlplus_json", "vl_json"]
+__all__ = ["format_label", "format_numerators", "format_keys", "label_names", "label_docs", "format_qdim",
+           "constituent_docs"]
 
 # the text of a label of each kind letter from its class string and its
 # parity (D, T) or its second class string (N)
@@ -37,13 +40,44 @@ def format_label(m: OrbifoldLabel) -> str:
     return _FORMATS["D" if isinstance(m, Diag) else "T"].format(format_vector(m.lam), m.eps)
 
 
+def format_numerators(lat: GramLattice, k, m: int = 1) -> List[Tuple[str, ...]]:
+    """The coordinate strings of ``lat.from_numerators(row, m)`` for each row
+    of the numerator array ``k``, which joined by commas are its
+    ``format_vector``: each entry of ``scaled_representatives`` over
+    ``e = d_d``, reduced by their gcd."""
+    e = lat.elementary_divisors[-1]
+    num = lat.scaled_representatives(k, m)
+    g = np.gcd(num, e)
+    nums, dens = (num // g).ravel().tolist(), (e // g).ravel().tolist()
+    flat = [str(a) if b == 1 else f"{a}/{b}" for a, b in zip(nums, dens)]
+    return list(zip(*[iter(flat)] * lat.dim))
+
+
+def format_keys(lat: GramLattice, keys: Sequence[Key]) -> List[str]:
+    """``format_label`` of the label of each ``label_sort_key`` in ``keys``."""
+    rows = [y for kind, x, last in keys for y in ((x, last) if kind == "N" else (x,))]
+    text = map(",".join, format_numerators(lat, rows))
+    return [_FORMATS[kind].format(next(text), next(text) if kind == "N" else last) for kind, _x, last in keys]
+
+
 def label_names(lat: GramLattice, tail: Mapping[str, str] = _NO_TAIL) -> List[str]:
     """``format_label`` of every label of ``enumerate_modules``, in that
     order, each followed by the text ``tail`` gives for its kind letter (a
     ``str.format`` template, so braces must be doubled).  Formats each class
     of ``L*/L`` once; builds no label."""
-    classes = [format_vector(x) for x in lat.dual_mod_lattice]
+    classes = list(map(",".join, format_numerators(lat, lat.discriminant)))
     d, n, t = ((f + tail[k]).format for k, f in _FORMATS.items())
+    return in_label_order(classes, d, n, t)
+
+
+def label_docs(lat: GramLattice) -> List[dict]:
+    """The JSON document of every label of ``enumerate_modules``, in that
+    order, with its ``label`` text.  The documents share one tuple of
+    coordinate strings per class of ``L*/L``, which JSON writes as a list."""
+    classes = [(",".join(c), c) for c in format_numerators(lat, lat.discriminant)]
+    d = lambda x, eps: {"kind": "diag", "lambda": x[1], "eps": eps, "label": _FORMATS["D"].format(x[0], eps)}
+    n = lambda x, y: {"kind": "nondiag", "lambda": x[1], "mu": y[1], "label": _FORMATS["N"].format(x[0], y[0])}
+    t = lambda x, eps: {"kind": "twisted", "lambda": x[1], "eps": eps, "label": _FORMATS["T"].format(x[0], eps)}
     return in_label_order(classes, d, n, t)
 
 
@@ -57,33 +91,16 @@ def format_qdim(q: Tuple[int, int], l: int) -> str:
     return root if a == 0 else f"{a}+{root}"
 
 
-def _coords_json(x: Vector):
-    return [str(c) for c in x]
-
-
-def label_json(m: OrbifoldLabel) -> dict:
-    if isinstance(m, Diag):
-        return {"kind": "diag", "lambda": _coords_json(m.lam), "eps": m.eps}
-    if isinstance(m, NonDiag):
-        return {"kind": "nondiag", "lambda": _coords_json(m.lam), "mu": _coords_json(m.mu)}
-    return {"kind": "twisted", "lambda": _coords_json(m.lam), "eps": m.eps}
-
-
-def vl_json(v: VlLabel) -> dict:
-    return {"kind": "lattice", "lambda": _coords_json(v.coords)}
-
-
-def vlplus_json(m: VlPlusLabel) -> dict:
-    if isinstance(m, NonSplit):
-        return {"kind": "untwisted_nonsplit", "lambda": _coords_json(m.coords)}
-    if isinstance(m, Split):
-        return {
-            "kind": "untwisted_split",
-            "lambda": _coords_json(m.coords),
-            "sign": "+" if m.sign > 0 else "-",
-        }
-    return {
-        "kind": "twisted_split",
-        "chi": format_character(m.chi),
-        "sign": "+" if m.sign > 0 else "-",
-    }
+def constituent_docs(lat: GramLattice, c: Constituents) -> List[dict]:
+    """The JSON document ``{"vl": ..., "vlplus": ...}`` of each constituent."""
+    coords = format_numerators(lat, c.vl if c.kind == "T" else np.concatenate([c.vl, c.part]), 2)
+    vl, lam = [{"kind": "lattice", "lambda": x} for x in coords[: len(c.vl)]], coords[len(c.vl) :]
+    signs = None if c.flip is None else ["-" if f else "+" for f in c.flip.tolist()]
+    if c.kind == "T":
+        chi = map(format_character, c.part.tolist())
+        parts = [{"kind": "twisted_split", "chi": x, "sign": s} for x, s in zip(chi, signs)]
+    elif c.kind == "D":
+        parts = [{"kind": "untwisted_split", "lambda": x, "sign": s} for x, s in zip(lam, signs)]
+    else:
+        parts = [{"kind": "untwisted_nonsplit", "lambda": x} for x in lam]
+    return [{"vl": v, "vlplus": p} for v, p in zip(vl, parts)]

@@ -199,9 +199,8 @@ def _representative_search(table: FusionTable) -> np.ndarray:
 
     single = (np.diff(table.ptr).reshape(n, n) == 1).all(1)  # the rows with one entry per pair
     for (g, _eps), j in np.ndenumerate(d_col):
-        at = table.ptr[j * n : j * n + n]
-        s = table.c[at]
-        if not single[j] or not (table.v[at] == 1).all() or np.array_equal(orbit[s], orbit):
+        at = table.ptr[j * n : j * n + n]  # the entries of (j, b) for every b, when the row is single
+        if not single[j] or not (table.v[at] == 1).all() or np.array_equal(orbit[s := table.c[at]], orbit):
             continue
         if len(np.unique(s)) < n or not _translates(s, g, add, d_col, n_col) or not _covariant(table, s):
             continue

@@ -3,8 +3,8 @@ from itertools import product
 import pytest
 
 from permorb import validate_lattice
-from permorb.base import Split, TwistedSplit, VlLabel, nonsplit_of_numerators
-from permorb.lattice import Modulus, canonicalize, vector
+from permorb.base import NonSplit, Split, TwistedSplit, VlLabel
+from permorb.lattice import Modulus, canonicalize
 
 E8_GRAM = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -70,8 +70,8 @@ def qdim_of_sum(qdims, counts):
 
 
 # Vectors, quotients and building-block labels for tests, built from the
-# integer forms the package keeps (``lattice_mod_two_ints``,
-# ``from_numerators(k, 2)``, ``nonsplit_of_numerators``, ``canonicalize``).
+# integer forms the package keeps (``from_numerators(k, 2)`` and
+# ``canonicalize``).
 
 
 def vec_add(x, y):
@@ -84,7 +84,9 @@ def vec_sub(x, y):
 
 def lattice_mod_two(lat):
     """``L/2L`` as canonical representatives, in Smith order."""
-    return [vector(n) for n, _k in lat.lattice_mod_two_ints]
+    # the representative V y of each y in {0,1}^d has the numerators D y
+    ys = product((0, 1), repeat=lat.dim)
+    return [lat.from_numerators([d * c for d, c in zip(lat.elementary_divisors, y)], 2) for y in ys]
 
 
 def dual_mod_two_lattice(lat):
@@ -106,7 +108,10 @@ def split_label(lat, x, sign):
 
 
 def nonsplit_label(lat, x):
-    return nonsplit_of_numerators(lat, lat.numerators(x))
+    """The non-split label of ``x`` (not in ``L``): the smaller numerators of
+    ``x`` and ``-x`` mod ``2L``."""
+    k = lat.numerators(x)
+    return NonSplit(lat.from_numerators(min(lat.reduce(k, 2), lat.reduce([-c for c in k], 2)), 2))
 
 
 def all_vlplus_labels(lat):

@@ -251,28 +251,30 @@ class TestRun:
         )
 
     @pytest.mark.parametrize(
-        "argv, gram, attr, message",
+        "argv, gram, attrs, message",
         [
             (
                 ["modules", "--json"],
                 [[3000]],
-                "enumerate_modules",
+                ("enumerate_modules", "label_docs"),
                 "modules --json for l = 3000 (n = 4510500 labels) needs about 8.4 GiB",
             ),
             (
                 ["decompose", "D(" + ",".join(["0"] * 24) + ";0)"],
                 [[2 * (i == j) for j in range(24)] for i in range(24)],
-                "decompose_module",
+                ("decompose_module", "constituents"),
                 "decompose for d = 24 (16777216 constituents) needs about 120.3 GiB",
             ),
         ],
         ids=["modules-z3000", "decompose-a1^24"],
     )
-    def test_output_guard_before_work(self, argv, gram, attr, message, capsys, tmp_path, monkeypatch):
-        def no_work(*args):
-            raise AssertionError(f"{attr} called")
+    def test_output_guard_before_work(self, argv, gram, attrs, message, capsys, tmp_path, monkeypatch):
+        # the functions the command calls, and those perfbench wraps on the cli module
+        for attr in attrs:
+            def no_work(*args, attr=attr):
+                raise AssertionError(f"{attr} called")
 
-        monkeypatch.setattr(f"permorb.cli.{attr}", no_work)
+            monkeypatch.setattr(f"permorb.cli.{attr}", no_work)
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"gram": gram}))
         assert run([argv[0], str(path)] + argv[1:]) == 2

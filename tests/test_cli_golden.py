@@ -8,11 +8,13 @@ decompositions or the verification report, in text and ``--json`` form.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from permorb import cli, render
 from permorb.cli import load_gram, run
+from permorb.lattice import GramLattice, format_vector, validate_lattice
 from permorb.orbifold import enumerate_modules
 
 from conftest import GRAMS
@@ -312,6 +314,19 @@ GOLDEN = {
     ("z1000", "decompose T(999/1000;1) --json"): "95bb90da7b210c6340f3fb4f247d8545e5f67de100f77c8f2279bf21bbb37c90",
     ("z1000", "decompose T(3999/1000;0)"): "1cb7d084be686492134c92b766ce026a500c9a52db83fc91cc97b0663b51fcef",
     ("z1000", "decompose T(3999/1000;0) --json"): "95bb90da7b210c6340f3fb4f247d8545e5f67de100f77c8f2279bf21bbb37c90",
+    # Twisted x Twisted on z1000 (501 labels each, one given by a
+    # non-canonical representative) and on a1x6 (rank 6), and decompose on
+    # e8 labels written with non-canonical representatives
+    ("z1000", "fuse T(999/1000;1) T(3999/1000;0)"): "6168c8dbe25d9e9fef60247751b66187d5eb0a9037845168ffe782fc3a0dda92",
+    ("z1000", "fuse T(999/1000;1) T(3999/1000;0) --json"): "5e59f4885268dfbdc51fe6ce5310fbe368ed7240cc76d0d85f7e65a1a622fa4d",
+    ("z1000", "fuse T(1/1000;0) T(2501/1000;1)"): "8e31e3e7949e94a51c9a39af20d94fd0c42b624a287c4f9848716a402fe1494e",
+    ("z1000", "fuse T(1/1000;0) T(2501/1000;1) --json"): "1d160d526c3d34c29342bc9c1216108e15e3572accdb58c67a9124edca0706f0",
+    ("a1x6", "fuse T(1/2,1/2,1/2,1/2,1/2,1/2;1) T(7/2,1/2,1/2,1/2,1/2,-1/2;0)"): "8e900831956fe4fd16ed937ff5e521cb8415b81bfcb25379912b536b0378d234",
+    ("a1x6", "fuse T(1/2,1/2,1/2,1/2,1/2,1/2;1) T(7/2,1/2,1/2,1/2,1/2,-1/2;0) --json"): "f84ad25d6b3cd70456ae41340f2ec667161ce7b3c8b2aabe4c3b9ec6eb24159a",
+    ("e8", "decompose D(1,0,0,0,0,0,0,-1;0)"): "c73c289493e6cbad6fe0e852a9a7a333c73c6f2020d40f7bf0b934b5c7125028",
+    ("e8", "decompose D(1,0,0,0,0,0,0,-1;0) --json"): "4495f25ab63d6bad56b3f7f997620b55398951a6bba8ddb50fc9e4b3565592fe",
+    ("e8", "decompose T(0,0,0,0,0,0,0,-1;1)"): "2358d786384e2886fbe105adf90556d07852af3d52e8b30f2835eed227ad6fe2",
+    ("e8", "decompose T(0,0,0,0,0,0,0,-1;1) --json"): "a22c1749cbf58119a32737e5770493a67b11fed9d1616655d164c345502dcb8c",
     # qdims where l is a perfect square above 4 (z16 prints 4, a1x6 prints
     # 8), where sqrt(l) must stay unsimplified (z2z4 prints sqrt(8)), and at
     # l = 180 and 1000
@@ -393,3 +408,57 @@ def test_listings_format_each_class_once(name, command, tmp_path, capsys, monkey
     assert capsys.readouterr().out
     assert calls["format_vector"] <= load_gram(path).det
     assert calls["format_label"] == 0
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _command in GOLDEN} | {"z2e9"}))
+def test_format_numerators_matches_format_vector(name, tmp_path):
+    # on [[2000000000]] the numerator arrays hold Python integers (object dtype)
+    lat = validate_lattice([[2000000000]]) if name == "z2e9" else load_gram(_gram_file(tmp_path, name))
+    assert (lat.int_dtype == object) == (name == "z2e9")
+    rng = random.Random(name)
+    for m in (1, 2):
+        # numerators below 3 d_j in magnitude, the range the array methods take
+        rows = [[rng.randrange(-3 * d + 1, 3 * d) for d in lat.elementary_divisors] for _ in range(60)]
+        rows += [[0] * lat.dim, [d - 1 for d in lat.elementary_divisors], [m * d - 1 for d in lat.elementary_divisors]]
+        got = [",".join(c) for c in render.format_numerators(lat, lat.as_rows(rows), m)]
+        assert got == [format_vector(lat.from_numerators(k, m)) for k in rows]
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [
+        ("z1000", "fuse T(999/1000;1) T(3999/1000;0)"),
+        ("z1000", "fuse T(999/1000;1) T(3999/1000;0) --json"),
+        ("l180", "fuse N(1/180,-1/45,23/180,179/180,-179/45,4117/180) N(1/90,-2/45,23/90,91/180,-91/45,2093/180)"),
+        ("e8", "decompose D(1,0,0,0,0,0,0,-1;0)"),
+        ("e8", "decompose T(0,0,0,0,0,0,0,-1;1) --json"),
+        ("a1x6", "decompose N(1/2,1/2,1/2,1/2,1/2,0,1/2,1/2,1/2,1/2,1/2,1/2) --json"),
+    ],
+    ids=["z1000-TT", "z1000-TT-json", "l180-NN", "e8-D", "e8-T-json", "a1x6-N-json"],
+)
+def test_output_builds_no_vector(name, command, tmp_path, capsys, monkeypatch):
+    # fuse and decompose print from numerators: from_numerators runs only
+    # while the labels on the command line are parsed
+    outside = []
+    parsing = [False]
+    from_numerators = GramLattice.from_numerators
+
+    def counted(self, k, m=1):
+        if not parsing[0]:
+            outside.append(tuple(k))
+        return from_numerators(self, k, m)
+
+    def parse_label(lat, text):
+        parsing[0] = True
+        try:
+            return parse(lat, text)
+        finally:
+            parsing[0] = False
+
+    parse = cli.parse_label
+    monkeypatch.setattr(GramLattice, "from_numerators", counted)
+    monkeypatch.setattr(cli, "parse_label", parse_label)
+    sub, *rest = command.split()
+    assert run([sub, _gram_file(tmp_path, name), *rest]) == 0
+    assert capsys.readouterr().out
+    assert outside == []

@@ -51,6 +51,7 @@ from permorb.verify import (
     check_nondiag_unified_vs_literal,
     check_qdim_homomorphism,
     check_qdim_lower_bound,
+    run_checks,
     verify,
 )
 
@@ -588,6 +589,15 @@ class TestVerify:
             lambda lat: {**qdims_by_kind(lat), NonDiag: q},
         )
         assert check_qdim_lower_bound(fusion_table(a1)).passed == ok
+
+    def test_empty_table_reported(self, a1):
+        # a table with no entries at all: every check returns a result, and
+        # identity and the duality pairing fail at their first cell
+        table = FusionTable(a1, enumerate_modules(a1), np.zeros(0, np.int64), np.zeros(0, np.int64))
+        results = run_checks(table)
+        assert [r.name for r in results] == [r.name for r in run_checks(fusion_table(a1))]
+        assert CheckResult("identity", False, "unit x D(0;0) hit D(0;0)") in results
+        assert CheckResult("duality_pairing", False, "N(D(0;0), D(0;0); unit) = 0") in results
 
     def test_wrong_glob_caught(self, a1, monkeypatch):
         monkeypatch.setattr(importlib.import_module("permorb.verify"), "glob", lambda lat: (15, 1))
